@@ -2,9 +2,9 @@
 
 Everything operates on two-dimensional float64 arrays and accumulates in
 double precision with a fixed summation order, so repeated evaluation of the
-same inputs is bit-stable.  The SVD is a one-sided Jacobi iteration written
-in-repo: matrices in this package stay small (a few hundred per side at
-most), where Jacobi is plenty fast, highly accurate, and fully deterministic.
+same inputs is bit-stable on a given numpy/LAPACK build.  The SVD is LAPACK's
+gesdd through ``np.linalg.svd``; a fixed sign convention makes its factors
+unique for distinct singular values.
 
 All functions are pure and safe to call concurrently.
 """
@@ -17,14 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InputError, NumericalError
-
-# Columns whose singular value falls below this fraction of the largest are
-# numerically null: their left singular vectors are rebuilt from an
-# orthonormal complement so that U keeps orthonormal columns.
-_NULL_COLUMN_RTOL = 1e-13
-
-# Off-diagonal threshold for Jacobi rotations, relative to column norms.
-_JACOBI_TOL = 1e-15
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
@@ -80,128 +72,23 @@ class SvdFactors:
         return (self.U * self.singular_values) @ self.V.T
 
 
-def reduced_svd(m, max_sweeps: int = 60) -> SvdFactors:
-    """Reduced SVD via one-sided Jacobi with a deterministic sweep order.
+def reduced_svd(m) -> SvdFactors:
+    """Reduced SVD from LAPACK's divide-and-conquer driver (gesdd).
 
-    Columns of the working matrix are rotated pairwise (cyclic row order)
-    until all pairs are orthogonal to relative tolerance ~1e-15; singular
-    values are the resulting column norms.  The sign convention forces the
-    largest-magnitude entry of each column of U to be nonnegative.
+    The sign convention forces the largest-magnitude entry of each column of
+    U to be nonnegative; the matching column of V flips with it, so the
+    product is unchanged.
 
-    Raises NumericalError if the sweep limit is exhausted before convergence.
+    Raises NumericalError if LAPACK reports that the SVD did not converge.
     """
     a = as_matrix(m)
-    rows, cols = a.shape
-    transposed = rows < cols
-    if transposed:
-        a = np.ascontiguousarray(a.T)
-        rows, cols = cols, rows
-
-    b = np.asfortranarray(a)
-    v = np.asfortranarray(np.eye(cols))
-
-    converged = False
-    for _ in range(max_sweeps):
-        # Fresh Gram matrix each sweep; entries are patched incrementally as
-        # rotations land so threshold checks stay O(1).
-        g = b.T @ b
-        rotated = False
-        for p in range(cols - 1):
-            for q in range(p + 1, cols):
-                app = g[p, p]
-                aqq = g[q, q]
-                apq = g[p, q]
-                if app <= 0.0 or aqq <= 0.0:
-                    continue
-                if abs(apq) <= _JACOBI_TOL * math.sqrt(app) * math.sqrt(aqq):
-                    continue
-                rotated = True
-                tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-
-                bp = b[:, p].copy()
-                b[:, p] = c * bp - s * b[:, q]
-                b[:, q] = s * bp + c * b[:, q]
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-
-                gp = g[:, p].copy()
-                g[:, p] = c * gp - s * g[:, q]
-                g[:, q] = s * gp + c * g[:, q]
-                g[p, :] = g[:, p]
-                g[q, :] = g[:, q]
-                # Rotation is chosen to annihilate this pair exactly.
-                g[p, p] = c * c * app - 2.0 * c * s * apq + s * s * aqq
-                g[q, q] = s * s * app + 2.0 * c * s * apq + c * c * aqq
-                g[p, q] = 0.0
-                g[q, p] = 0.0
-        if not rotated:
-            converged = True
-            break
-    if not converged:
-        raise NumericalError(f"Jacobi SVD did not converge within {max_sweeps} sweeps")
-
-    sigma = np.sqrt(np.sum(b * b, axis=0))
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    b = b[:, order]
-    v = v[:, order]
-
-    u = np.zeros((rows, cols))
-    smax = float(sigma[0])
-    null_cut = smax * _NULL_COLUMN_RTOL
-    filled = []
-    for j in range(cols):
-        if sigma[j] > null_cut:
-            u[:, j] = b[:, j] / sigma[j]
-            filled.append(j)
-    for j in range(cols):
-        if sigma[j] > null_cut:
-            continue
-        u[:, j] = _complement_column(u, filled)
-        filled.append(j)
-
-    u = np.ascontiguousarray(u)
-    v = np.ascontiguousarray(v)
-    if transposed:
-        u, v = v, u
-
-    # Deterministic sign: largest-magnitude entry of each returned U column
-    # is nonnegative (flipping both factors keeps the product unchanged).
-    for j in range(cols):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0.0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-    return SvdFactors(U=u, singular_values=np.ascontiguousarray(sigma), V=v)
-
-
-def _complement_column(u: np.ndarray, filled: list[int]) -> np.ndarray:
-    """Unit vector orthogonal to the already-filled columns of ``u``.
-
-    Picks the standard basis vector with the largest residual after
-    projection (ties broken by lowest index), then re-orthogonalizes once.
-    """
-    rows = u.shape[0]
-    basis = np.eye(rows)
-    if filled:
-        uf = u[:, filled]
-        resid = basis - uf @ (uf.T @ basis)
-    else:
-        uf = None
-        resid = basis
-    norms = np.sqrt(np.sum(resid * resid, axis=0))
-    i = int(np.argmax(norms))
-    vec = resid[:, i]
-    if uf is not None:
-        vec = vec - uf @ (uf.T @ vec)
-    nrm = math.sqrt(float(np.sum(vec * vec)))
-    if nrm == 0.0:
-        raise NumericalError("failed to build an orthonormal complement column")
-    return vec / nrm
+    try:
+        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK SVD failed: {exc}") from exc
+    peak = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    sign = np.where(peak < 0.0, -1.0, 1.0)
+    return SvdFactors(U=u * sign, singular_values=sigma, V=vt.T * sign)
 
 
 def spectral_norm(m) -> float:

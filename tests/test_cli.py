@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import orthopt
 from orthopt.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 RUN_INI = """\
@@ -176,3 +182,31 @@ def test_unknown_command_is_config_error():
 
 def test_missing_required_flag_is_config_error():
     assert main(["run", "--out", "/tmp/x"]) == EXIT_CONFIG
+
+
+BLAS_THREAD_CONFIGS = {
+    "mlp": "problem = mlp\ndims = 16,128,128,8\noptimizer = namo_d\n"
+    "noise_kind = minibatch\nbatch_size = 16\nsteps = 40\nseed = 5\n",
+    "least_squares": "problem = matrix_least_squares\ndims = 8,6,12\noptimizer = namo\n"
+    "sigma = 0.5\nsteps = 40\nseed = 5\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLAS_THREAD_CONFIGS))
+def test_csv_bytes_do_not_depend_on_blas_threads(name, tmp_path):
+    # The EXACT path runs LAPACK gesdd, whose bits match across BLAS thread
+    # counts for matrices up to 128x128 (the largest here); see README.
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\n" + BLAS_THREAD_CONFIGS[name])
+    src = str(Path(orthopt.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "orthopt.cli", "run", "--config", str(config), "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        outputs.append((out / "run.csv").read_bytes())
+    assert outputs[0] == outputs[1]

@@ -69,6 +69,21 @@ class TestRun:
         assert all(math.isfinite(r.loss) for r in result.records)
         assert math.isnan(result.final_loss)
 
+    @pytest.mark.parametrize("optimizer", ["namo", "namo_d"])
+    def test_huge_eta_with_rank_one_momentum_finishes(self, optimizer):
+        # at eta=1e3 the 6x3 momentum becomes numerically rank one, which an
+        # SVD must handle without raising
+        cfg = small_config(
+            optimizer,
+            steps=60,
+            problem="mlp",
+            problem_dims=(4, 6, 3),
+            seed=0,
+            hyper=default_hyperparams(optimizer, eta=1e3),
+            noise=NoiseModel(sigma=0.5),
+        )
+        assert run(cfg).status in (STATUS_OK, STATUS_DIVERGED)
+
     def test_running_average_recomputes_offline(self):
         result = run(small_config(steps=25))
         grads = [r.grad_fro for r in result.records]

@@ -14,6 +14,7 @@ from orthopt.linalg import (
     reduced_svd,
     spectral_norm,
 )
+from orthopt.orthogonalize import EXACT, orthogonalize
 from orthopt.rng import Rng
 
 
@@ -107,12 +108,16 @@ class TestReducedSvd:
         assert np.all(np.diff(f.singular_values) <= 0.0)
         assert np.all(f.singular_values >= 0.0)
 
-    def test_matches_lapack_singular_values(self):
-        for seed, shape in [(0, (9, 6)), (1, (6, 9)), (2, (12, 12))]:
-            m = Rng(seed).normal_matrix(*shape)
-            ours = reduced_svd(m).singular_values
-            lapack = np.linalg.svd(m, compute_uv=False)
-            np.testing.assert_allclose(ours, lapack, atol=1e-12 * max(1.0, lapack[0]))
+    def test_known_spectrum_and_polar_factor(self):
+        # M = Q1 diag(s) Q2^T with a planted spectrum, so the oracle does not
+        # come from the SVD under test
+        s = np.array([5.0, 3.0, 2.0, 1.0, 0.5, 0.25])
+        for seed, (rows, cols) in [(0, (9, 6)), (1, (6, 9))]:
+            q1 = np.linalg.qr(Rng(seed).normal_matrix(rows, 6))[0]
+            q2 = np.linalg.qr(Rng(seed + 50).normal_matrix(cols, 6))[0]
+            m = (q1 * s) @ q2.T
+            np.testing.assert_allclose(reduced_svd(m).singular_values, s, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(orthogonalize(m, EXACT), q1 @ q2.T, rtol=0.0, atol=1e-12)
 
     def test_zero_matrix(self):
         f = reduced_svd(np.zeros((4, 3)))
@@ -135,9 +140,13 @@ class TestReducedSvd:
         assert np.array_equal(f1.singular_values, f2.singular_values)
         assert np.array_equal(f1.V, f2.V)
 
-    def test_sweep_exhaustion_raises(self):
+    def test_lapack_failure_raises_numerical_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(NumericalError):
-            reduced_svd(Rng(1).normal_matrix(5, 5), max_sweeps=0)
+            reduced_svd(Rng(1).normal_matrix(5, 5))
 
 
 class TestSpectralAndNuclear:
