@@ -22,16 +22,7 @@ from .harness import (
     run,
     write_csv,
 )
-from .verification import (
-    LEMMA_TOLERANCES,
-    check_phi_eps,
-    check_series_mut,
-    check_series_mutsqrt,
-    check_snr_bound,
-    check_trace_inequality,
-    snr_tightness_gap,
-)
-from .rng import Rng
+from .verification import LEMMA_TOLERANCES, run_all_checks, snr_tightness_gap
 
 _DEFAULT_PROBLEM_DIMS = {
     "matrix_least_squares": (8, 6, 12),
@@ -193,14 +184,7 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
-    rng = Rng(args.seed)
-    reports = [
-        check_snr_bound(trials=args.trials, rng=rng.substream(1), bound_scale=args.snr_bound_scale),
-        check_phi_eps(),
-        check_series_mut(),
-        check_series_mutsqrt(),
-        check_trace_inequality(trials=args.trials, rng=rng.substream(2)),
-    ]
+    reports = run_all_checks(trials=args.trials, seed=args.seed, bound_scale=args.snr_bound_scale)
     _ensure_outdir(args.out)
     write_csv(reports, os.path.join(args.out, "lemmas.csv"))
     all_ok = True

@@ -7,8 +7,10 @@ floats are written with 17 significant digits, so identical configs produce
 byte-identical CSV files.
 
 The logged gradient norm is always the deterministic full gradient at the
-pre-step iterate (one extra evaluation per step); its running average is the
-quantity the convergence guarantees bound, so that is what gets measured.
+pre-step iterate, shared with the loss evaluation through the fused
+``loss_and_grad`` (and reused by the additive-noise oracle); its running
+average is the quantity the convergence guarantees bound, so that is what
+gets measured.
 For multi-parameter problems the per-step diagnostics columns aggregate over
 matrix-routed parameters: ``alpha`` and ``d_bar`` are means, ``d_min``/
 ``d_max`` are the global extremes of the clamped stepsizes.
@@ -388,32 +390,31 @@ def _run_loop(config, problem, theta, hp, plans, states, rng, records):
     steps_completed = 0
     final_loss = math.nan
     final_avg = math.nan
-    zero_noise = (
-        config.noise.kind == NoiseKind.ADDITIVE_GAUSSIAN and config.noise.sigma == 0.0
-    )
 
+    # Gradient at theta_0; afterwards the one at theta_t comes with its loss.
+    det_grads = problem.grad(theta)
     for t in range(1, config.steps + 1):
         if not all(np.all(np.isfinite(p)) for p in theta):
             status = STATUS_DIVERGED
             break
-        det_grads = problem.grad(theta)
         grad_norm = _grad_norm(det_grads)
         grad_norm_sum += grad_norm
         avg_grad = grad_norm_sum / t
 
-        grads = det_grads if zero_noise else stochastic_grad(problem, theta, config.noise, rng)
+        grads = stochastic_grad(problem, theta, config.noise, rng, det_grads)
 
         eta_t = effective_eta(hp.eta, t, config.warmup_steps)
+        # replace() re-validates HyperParams, so only warmup steps pay for it.
+        plans_t = plans if eta_t == hp.eta else [(n, replace(p, eta=eta_t)) for n, p in plans]
         diags: list[StepDiagnostics] = []
-        for i, ((name, base_hp), grad) in enumerate(zip(plans, grads)):
-            hp_t = replace(base_hp, eta=eta_t)
+        for i, ((name, hp_t), grad) in enumerate(zip(plans_t, grads)):
             if name == "adamw":
                 theta[i], states[i], diag = adamw_step(theta[i], grad, states[i], hp_t)
             else:
                 theta[i], states[i], diag = _MATRIX_STEPS[name](theta[i], grad, states[i], hp_t)
             diags.append(diag)
 
-        loss = float(problem.loss(theta))
+        loss, det_grads = problem.loss_and_grad(theta)
         if not math.isfinite(loss):
             status = STATUS_DIVERGED
             break
@@ -523,6 +524,20 @@ def theorem_schedule(regime: str, t_steps: int, multiplier: float = 1.0) -> dict
     raise ConfigError(f"unknown regime: {regime!r} (expected 'det' or 'stoch')")
 
 
+def _theorem_config(name, dims, optimizer, regime, t_steps, multiplier, clamp_c, **fields) -> RunConfig:
+    """A run under ``theorem_schedule``: EXACT orthogonalization, no weight decay
+    or warmup, only the final step logged; ``fields`` sets noise and seeds."""
+    hp = HyperParams(
+        **theorem_schedule(regime, t_steps, multiplier),
+        weight_decay=0.0,
+        clamp_c=clamp_c if optimizer == "namo_d" else 1.0,
+        orth=OrthConfig(method=OrthMethod.EXACT),
+    )
+    steps = int(t_steps)
+    dims = tuple(int(d) for d in dims)
+    return RunConfig(name, dims, optimizer, hp, steps, warmup_steps=0, log_every=steps, **fields)
+
+
 @dataclass(frozen=True)
 class RateResult:
     optimizer: str
@@ -558,28 +573,10 @@ def rate_experiment(
     diverged: list[int] = []
     for t_steps in t_list:
         t_steps = int(t_steps)
-        sched = theorem_schedule(regime, t_steps, multiplier)
-        hp = HyperParams(
-            eta=sched["eta"],
-            mu1=sched["mu1"],
-            mu2=sched["mu2"],
-            epsilon=sched["epsilon"],
-            weight_decay=0.0,
-            clamp_c=clamp_c if optimizer == "namo_d" else 1.0,
-            orth=OrthConfig(method=OrthMethod.EXACT),
-        )
-        config = RunConfig(
-            problem=problem_name,
-            problem_dims=tuple(int(d) for d in problem_dims),
-            optimizer=optimizer,
-            hyper=hp,
-            steps=t_steps,
+        config = _theorem_config(
+            problem_name, problem_dims, optimizer, regime, t_steps, multiplier, clamp_c,
             noise=NoiseModel(sigma=sigma, batch_size=batch_size),
-            problem_seed=problem_seed,
-            dataset_size=dataset_size,
-            warmup_steps=0,
-            log_every=t_steps,
-            seed=seed,
+            problem_seed=problem_seed, dataset_size=dataset_size, seed=seed,
         )
         result = run(config)
         if result.status == STATUS_OK:
@@ -628,32 +625,14 @@ def batch_adaptation_experiment(
         raise ConfigError("b_list must be strictly increasing")
     if len(seeds) < 3:
         raise ConfigError("need at least 3 seeds")
-    sched = theorem_schedule("stoch", t_steps, multiplier)
-    hp = HyperParams(
-        eta=sched["eta"],
-        mu1=sched["mu1"],
-        mu2=sched["mu2"],
-        epsilon=sched["epsilon"],
-        weight_decay=0.0,
-        clamp_c=clamp_c if optimizer == "namo_d" else 1.0,
-        orth=OrthConfig(method=OrthMethod.EXACT),
-    )
     rows: list[tuple[int, float]] = []
     for b in b_list:
         finals = []
         for s in seeds:
-            config = RunConfig(
-                problem=problem_name,
-                problem_dims=tuple(int(d) for d in problem_dims),
-                optimizer=optimizer,
-                hyper=hp,
-                steps=int(t_steps),
+            config = _theorem_config(
+                problem_name, problem_dims, optimizer, "stoch", t_steps, multiplier, clamp_c,
                 noise=NoiseModel(sigma=sigma, batch_size=b),
-                problem_seed=problem_seed,
-                dataset_size=dataset_size,
-                warmup_steps=0,
-                log_every=int(t_steps),
-                seed=int(s),
+                problem_seed=problem_seed, dataset_size=dataset_size, seed=int(s),
             )
             result = run(config)
             if result.status == STATUS_OK:

@@ -35,16 +35,20 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
+def _norm(a: np.ndarray, axis=None):
+    """Unchecked norm: Frobenius (a float, any shape) or column norms (axis=0)."""
+    squares = np.sum(a * a, axis=axis)
+    return math.sqrt(float(squares)) if axis is None else np.sqrt(squares)
+
+
 def frobenius_norm(m) -> float:
     """Square root of the sum of squared entries."""
-    a = as_matrix(m)
-    return math.sqrt(float(np.sum(a * a)))
+    return _norm(as_matrix(m))
 
 
 def column_norms(m) -> np.ndarray:
     """Euclidean norm of each column, as a 1-D array of length ``cols``."""
-    a = as_matrix(m)
-    return np.sqrt(np.sum(a * a, axis=0))
+    return _norm(as_matrix(m), axis=0)
 
 
 def inner_product(a, b) -> float:

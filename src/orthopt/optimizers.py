@@ -20,6 +20,9 @@ NAMO/NAMO-D:
 
 With lambda = 0 the NAMO/NAMO-D updates reduce to the plain two-moment
 recursions over the gradient stream.
+
+Steps validate their inputs once on entry, then run the arithmetic of
+``compute_alpha`` and ``clamp_d`` without re-checking arrays.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InputError
-from .linalg import column_norms, frobenius_norm
+from .linalg import _norm, as_matrix
 from .orthogonalize import OrthConfig, orthogonalize
 
 
@@ -151,8 +154,11 @@ def compute_alpha(m, v: float, t: int, hp: HyperParams) -> float:
         raise InputError("step counter must be >= 1")
     if v < 0.0:
         raise InputError("second moment must be nonnegative")
-    bias = math.sqrt(1.0 - hp.mu2**t) / (1.0 - hp.mu1**t)
-    return bias * frobenius_norm(m) / (math.sqrt(v) + hp.epsilon)
+    return _bias_correction(t, hp) * _norm(as_matrix(m)) / (math.sqrt(v) + hp.epsilon)
+
+
+def _bias_correction(t: int, hp: HyperParams) -> float:
+    return math.sqrt(1.0 - hp.mu2**t) / (1.0 - hp.mu1**t)
 
 
 def namo_step(theta, grad, state: NamoState, hp: HyperParams):
@@ -160,11 +166,11 @@ def namo_step(theta, grad, state: NamoState, hp: HyperParams):
     th, g = _check_step_inputs(theta, grad, state.M.shape)
     t_new = state.t + 1
     m_new = hp.mu1 * state.M + (1.0 - hp.mu1) * g
-    v_new = hp.mu2 * state.v + (1.0 - hp.mu2) * frobenius_norm(g) ** 2
+    v_new = hp.mu2 * state.v + (1.0 - hp.mu2) * _norm(g) ** 2
     o = orthogonalize(m_new, hp.orth)
-    alpha = compute_alpha(m_new, v_new, t_new, hp)
+    alpha = _bias_correction(t_new, hp) * _norm(m_new) / (math.sqrt(v_new) + hp.epsilon)
     update = (hp.eta * alpha) * (o + hp.weight_decay * th)
-    diag = StepDiagnostics(update_frobenius=frobenius_norm(update), alpha=alpha)
+    diag = StepDiagnostics(update_frobenius=_norm(update), alpha=alpha)
     return th - update, NamoState(M=m_new, v=v_new, t=t_new), diag
 
 
@@ -177,8 +183,13 @@ def clamp_d(d, c: float) -> np.ndarray:
         raise InputError("clamp_d entries must be nonnegative")
     if not 0.0 < c <= 1.0:
         raise ConfigError("clamping constant must lie in (0, 1]")
-    d_bar = float(np.sum(arr)) / arr.size
-    return np.minimum(np.maximum(arr, c * d_bar), d_bar / c)
+    return _clamp(arr, c)[1]
+
+
+def _clamp(d: np.ndarray, c: float) -> tuple[float, np.ndarray]:
+    """(mean of ``d``, ``d`` clamped around it) for a trusted vector."""
+    d_bar = float(np.sum(d)) / d.size
+    return d_bar, np.minimum(np.maximum(d, c * d_bar), d_bar / c)
 
 
 def namo_d_step(theta, grad, state: NamoDState, hp: HyperParams):
@@ -188,16 +199,15 @@ def namo_d_step(theta, grad, state: NamoDState, hp: HyperParams):
         raise DimensionError("second-moment vector length must equal the column count")
     t_new = state.t + 1
     m_new = hp.mu1 * state.M + (1.0 - hp.mu1) * g
-    gc = column_norms(g)
+    gc = _norm(g, axis=0)
     v_new = hp.mu2 * state.v + (1.0 - hp.mu2) * gc * gc
-    bias = math.sqrt(1.0 - hp.mu2**t_new) / (1.0 - hp.mu1**t_new)
-    d_raw = bias * column_norms(m_new) / (np.sqrt(v_new) + hp.epsilon)
-    d_bar = float(np.sum(d_raw)) / d_raw.size
-    d_clamped = clamp_d(d_raw, hp.clamp_c)
+    bias = _bias_correction(t_new, hp)
+    d_raw = bias * _norm(m_new, axis=0) / (np.sqrt(v_new) + hp.epsilon)
+    d_bar, d_clamped = _clamp(d_raw, hp.clamp_c)
     o = orthogonalize(m_new, hp.orth)
     update = hp.eta * ((o + hp.weight_decay * th) * d_clamped[np.newaxis, :])
     diag = StepDiagnostics(
-        update_frobenius=frobenius_norm(update),
+        update_frobenius=_norm(update),
         d_raw=d_raw,
         d_clamped=d_clamped,
         d_bar=d_bar,
@@ -212,7 +222,7 @@ def muon_step(theta, grad, state: MuonState, hp: HyperParams):
     m_new = hp.mu1 * state.M + (1.0 - hp.mu1) * g
     o = orthogonalize(m_new, hp.orth)
     update = hp.eta * (o + hp.weight_decay * th)
-    diag = StepDiagnostics(update_frobenius=frobenius_norm(update))
+    diag = StepDiagnostics(update_frobenius=_norm(update))
     return th - update, MuonState(M=m_new, t=t_new), diag
 
 
@@ -225,7 +235,7 @@ def adamw_step(theta, grad, state: AdamWState, hp: HyperParams):
     m_hat = m_new / (1.0 - hp.mu1**t_new)
     v_hat = v_new / (1.0 - hp.mu2**t_new)
     update = hp.eta * (m_hat / (np.sqrt(v_hat) + hp.epsilon) + hp.weight_decay * th)
-    diag = StepDiagnostics(update_frobenius=math.sqrt(float(np.sum(update * update))))
+    diag = StepDiagnostics(update_frobenius=_norm(update))
     return th - update, AdamWState(m=m_new, v=v_new, t=t_new), diag
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .linalg import as_matrix, frobenius_norm, reduced_svd
+from .linalg import _norm, as_matrix, frobenius_norm, reduced_svd
 
 # De-facto quintic coefficients for momentum orthogonalization: steep slope at
 # zero buys fast escape from tiny singular values at the cost of converging to
@@ -80,19 +80,21 @@ def orthogonalize(m, cfg: OrthConfig = EXACT) -> np.ndarray:
     orientation.
     """
     a = as_matrix(m)
-    if frobenius_norm(a) <= cfg.zero_threshold:
+    norm = _norm(a)
+    if norm <= cfg.zero_threshold:
         return np.zeros_like(a)
     if cfg.method is OrthMethod.EXACT:
         f = reduced_svd(a)
         smax = float(f.singular_values[0])
         keep = f.singular_values > cfg.rank_tolerance * smax
         return f.U[:, keep] @ f.V[:, keep].T
-    return _newton_schulz(a, cfg.ns_iterations, cfg.ns_coefficients)
+    return _newton_schulz(a, norm, cfg.ns_iterations, cfg.ns_coefficients)
 
 
-def _newton_schulz(m: np.ndarray, iterations: int, coeffs) -> np.ndarray:
+def _newton_schulz(m: np.ndarray, norm: float, iterations: int, coeffs) -> np.ndarray:
+    """Quintic iteration on ``m`` prescaled by its Frobenius norm ``norm``."""
     ca, cb, cc = coeffs
-    x = m / (frobenius_norm(m) + _PRENORM_TINY)
+    x = m / (norm + _PRENORM_TINY)
     transposed = x.shape[0] > x.shape[1]
     if transposed:
         x = x.T

@@ -2,7 +2,9 @@
 
 Each factory returns an immutable ``Problem`` carrying the loss, its analytic
 gradient, a seeded initial iterate, and (where a dataset exists) a minibatch
-gradient hook.  ``stochastic_grad`` wraps a problem's gradient in either
+gradient hook.  ``loss_and_grad`` is the fused oracle: one residual or forward
+pass gives both values, and ``grad`` is its second half.  ``stochastic_grad``
+wraps a problem's gradient in either
 additive Gaussian noise calibrated so the aggregate squared Frobenius
 deviation is exactly sigma^2 / b in expectation, or minibatch subsampling.
 All randomness flows through the counter-based ``Rng``, so every draw is a
@@ -40,7 +42,11 @@ _FACTORIZATION_SPECTRAL = 3.0
 
 @dataclass(frozen=True)
 class Problem:
-    """A differentiable objective over a list of array parameters."""
+    """A differentiable objective over a list of array parameters.
+
+    ``loss_and_grad`` (set by every factory, needed by ``harness.run``) is
+    bitwise equal to ``(loss(p), grad(p))`` from one evaluation.
+    """
 
     name: str
     params_spec: tuple[tuple[int, ...], ...]
@@ -51,6 +57,7 @@ class Problem:
     minibatch_grad: Optional[Callable[[list[np.ndarray], np.ndarray], list[np.ndarray]]] = None
     dataset_size: Optional[int] = None
     data: dict = field(default_factory=dict)
+    loss_and_grad: Optional[Callable[[list[np.ndarray]], tuple[float, list[np.ndarray]]]] = None
 
     def initial_params(self) -> list[np.ndarray]:
         return [p.copy() for p in self.theta0]
@@ -98,8 +105,9 @@ def make_matrix_least_squares(m: int, n: int, k: int, seed: int) -> Problem:
         r = x @ params[0] - y
         return 0.5 * float(np.sum(r * r))
 
-    def grad(params: list[np.ndarray]) -> list[np.ndarray]:
-        return [x.T @ (x @ params[0] - y)]
+    def loss_and_grad(params: list[np.ndarray]):
+        r = x @ params[0] - y
+        return 0.5 * float(np.sum(r * r)), [x.T @ r]
 
     def minibatch_grad(params: list[np.ndarray], indices: np.ndarray) -> list[np.ndarray]:
         xs = x[indices]
@@ -110,7 +118,8 @@ def make_matrix_least_squares(m: int, n: int, k: int, seed: int) -> Problem:
         name="matrix_least_squares",
         params_spec=((m, n),),
         loss=loss,
-        grad=grad,
+        grad=lambda p: loss_and_grad(p)[1],
+        loss_and_grad=loss_and_grad,
         theta0=(theta0,),
         lipschitz_hint=float(spectral_norm(x.T @ x)),
         minibatch_grad=minibatch_grad,
@@ -140,15 +149,16 @@ def make_matrix_factorization(m: int, r: int, n: int, seed: int) -> Problem:
         res = params[0] @ params[1] - c
         return 0.5 * float(np.sum(res * res))
 
-    def grad(params: list[np.ndarray]) -> list[np.ndarray]:
+    def loss_and_grad(params: list[np.ndarray]):
         res = params[0] @ params[1] - c
-        return [res @ params[1].T, params[0].T @ res]
+        return 0.5 * float(np.sum(res * res)), [res @ params[1].T, params[0].T @ res]
 
     return Problem(
         name="matrix_factorization",
         params_spec=((m, r), (r, n)),
         loss=loss,
-        grad=grad,
+        grad=lambda p: loss_and_grad(p)[1],
+        loss_and_grad=loss_and_grad,
         theta0=(a0, b0),
         data={"A_star": a_star, "B_star": b_star, "C": c},
     )
@@ -182,35 +192,34 @@ def make_mlp_problem(layer_dims, dataset_size: int, seed: int) -> Problem:
     y_data = _mlp_forward(teacher, x_data, n_layers)[-1]
     theta0 = draw_params(rng, 0.5)
 
-    def loss_on(params, xs, ys) -> float:
-        out = _mlp_forward(params, xs, n_layers)[-1]
-        return 0.5 * float(np.sum((out - ys) ** 2)) / xs.shape[0]
-
-    def grad_on(params, xs, ys) -> list[np.ndarray]:
+    def loss_and_grad_on(params, xs, ys):
         acts = _mlp_forward(params, xs, n_layers)
-        delta = (acts[-1] - ys) / xs.shape[0]
+        err = acts[-1] - ys
+        delta = err / xs.shape[0]
         grads: list[np.ndarray] = [np.zeros(0)] * (2 * n_layers)
         for l in range(n_layers - 1, -1, -1):
             grads[2 * l] = acts[l].T @ delta
             grads[2 * l + 1] = np.sum(delta, axis=0)
             if l > 0:
                 delta = (delta @ params[2 * l].T) * (1.0 - acts[l] ** 2)
-        return grads
+        return 0.5 * float(np.sum(err**2)) / xs.shape[0], grads
 
     def loss(params: list[np.ndarray]) -> float:
-        return loss_on(params, x_data, y_data)
+        out = _mlp_forward(params, x_data, n_layers)[-1]
+        return 0.5 * float(np.sum((out - y_data) ** 2)) / dataset_size
 
-    def grad(params: list[np.ndarray]) -> list[np.ndarray]:
-        return grad_on(params, x_data, y_data)
+    def loss_and_grad(params: list[np.ndarray]):
+        return loss_and_grad_on(params, x_data, y_data)
 
     def minibatch_grad(params: list[np.ndarray], indices: np.ndarray) -> list[np.ndarray]:
-        return grad_on(params, x_data[indices], y_data[indices])
+        return loss_and_grad_on(params, x_data[indices], y_data[indices])[1]
 
     return Problem(
         name="mlp",
         params_spec=tuple(p.shape for p in theta0),
         loss=loss,
-        grad=grad,
+        grad=lambda p: loss_and_grad(p)[1],
+        loss_and_grad=loss_and_grad,
         theta0=tuple(theta0),
         minibatch_grad=minibatch_grad,
         dataset_size=dataset_size,
@@ -229,7 +238,9 @@ def _mlp_forward(params: list[np.ndarray], xs: np.ndarray, n_layers: int) -> lis
     return acts
 
 
-def stochastic_grad(problem: Problem, params: list[np.ndarray], noise: NoiseModel, rng: Rng) -> list[np.ndarray]:
+def stochastic_grad(
+    problem: Problem, params: list[np.ndarray], noise: NoiseModel, rng: Rng, det_grads=None
+) -> list[np.ndarray]:
     """Unbiased stochastic gradient under the given noise model.
 
     Additive Gaussian: adds iid N(0, sigma^2 / (b * P)) entries with P the
@@ -237,12 +248,14 @@ def stochastic_grad(problem: Problem, params: list[np.ndarray], noise: NoiseMode
     parameters proportionally to their element counts.  Minibatch: gradient
     of the b-sample empirical loss (sampling without replacement, so b equal
     to the dataset size reproduces the deterministic gradient).
+
+    ``det_grads``, if given, is ``problem.grad(params)`` already evaluated.
     """
     if noise.batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     _check_params(problem, params)
     if noise.kind == NoiseKind.ADDITIVE_GAUSSIAN:
-        grads = problem.grad(params)
+        grads = problem.grad(params) if det_grads is None else det_grads
         if noise.sigma == 0.0:
             return grads
         total = sum(g.size for g in grads)
@@ -258,7 +271,7 @@ def stochastic_grad(problem: Problem, params: list[np.ndarray], noise: NoiseMode
         raise ConfigError(f"problem {problem.name!r} does not support minibatch noise")
     b = min(noise.batch_size, problem.dataset_size)
     if b == problem.dataset_size:
-        return problem.grad(params)
+        return problem.grad(params) if det_grads is None else det_grads
     indices = rng.sample_without_replacement(problem.dataset_size, b)
     return problem.minibatch_grad(params, indices)
 

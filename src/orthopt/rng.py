@@ -22,6 +22,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+# uint64 forms for the vectorized path, where products wrap modulo 2**64.
+_GOLDEN64, _MIX1_64, _MIX2_64 = (np.uint64(k) for k in (_GOLDEN, _MIX1, _MIX2))
+_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
+
 # 2**-53: maps the top 53 bits of a u64 into (0, 1] after the +1 shift.
 _U53 = 1.0 / (1 << 53)
 
@@ -35,11 +39,13 @@ def _finalize(z: int) -> int:
 
 
 def _finalize_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer over a uint64 array."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+    """Vectorized splitmix64 finalizer, in place over a uint64 array."""
+    z ^= z >> _S30
+    z *= _MIX1_64
+    z ^= z >> _S27
+    z *= _MIX2_64
+    z ^= z >> _S31
+    return z
 
 
 @dataclass
@@ -62,24 +68,25 @@ class Rng:
         """Return the next ``n`` 64-bit outputs and advance the counter."""
         if n < 0:
             raise InputError("draw count must be nonnegative")
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        z = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
-        with np.errstate(over="ignore"):
-            z = np.uint64(self._key) + idx * np.uint64(_GOLDEN)
+        z *= _GOLDEN64
+        z += np.uint64(self._key)
         return _finalize_array(z)
 
     def uniforms(self, n: int) -> np.ndarray:
         """Draw ``n`` doubles uniform on (0, 1]."""
-        bits = self.raw64(n) >> np.uint64(11)
+        bits = self.raw64(n)
+        bits >>= _S11
         return (bits.astype(np.float64) + 1.0) * _U53
 
     def normals(self, n: int) -> np.ndarray:
-        """Draw ``n`` standard normals via Box-Muller."""
+        """Draw ``n`` standard normals via Box-Muller on ``2 ceil(n/2)`` uniforms
+        (first half radii, second half angles)."""
         m = (n + 1) // 2
-        u1 = self.uniforms(m)
-        u2 = self.uniforms(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * np.pi) * u2
+        u = self.uniforms(2 * m)
+        r = np.sqrt(-2.0 * np.log(u[:m]))
+        theta = (2.0 * np.pi) * u[m:]
         return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:

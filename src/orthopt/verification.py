@@ -251,11 +251,11 @@ def estimate_rate_slope(records) -> float:
     return float(np.dot(xc, ys - ys.mean()) / np.dot(xc, xc))
 
 
-def run_all_checks(trials: int = 1000, seed: int = 0) -> list[LemmaReport]:
-    """All five lemma checks with shared seeding, in a fixed order."""
+def run_all_checks(trials: int = 1000, seed: int = 0, bound_scale: float = 1.0) -> list[LemmaReport]:
+    """All five lemma checks with shared seeding, in a fixed order (``bound_scale`` as in the SNR check)."""
     rng = Rng(seed)
     return [
-        check_snr_bound(trials=trials, rng=rng.substream(1)),
+        check_snr_bound(trials=trials, rng=rng.substream(1), bound_scale=bound_scale),
         check_phi_eps(),
         check_series_mut(),
         check_series_mutsqrt(),

@@ -59,6 +59,17 @@ class TestRunCommand:
         path.write_text(RUN_INI + "bogus = 1\n")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("optimizer", ["namo", "namo_d"])
+    def test_overflowing_run_exits_ok_with_diverged_status(self, optimizer, tmp_path, capsys):
+        # eta=1e8 overflows the momentum; that is a diverged run, not a config error
+        path = tmp_path / "run.ini"
+        path.write_text(
+            "[run]\nproblem = matrix_factorization\ndims = 8,3,6\n"
+            f"optimizer = {optimizer}\neta = 1e8\nsigma = 0.5\nsteps = 60\nwarmup_steps = 0\n"
+        )
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert "status=diverged" in capsys.readouterr().out
+
     def test_unwritable_out_is_io_error(self, run_config, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")

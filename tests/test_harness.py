@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from orthopt import harness
 from orthopt.errors import ConfigError
 from orthopt.harness import (
     BatchAdaptResult,
@@ -46,6 +48,18 @@ def small_config(optimizer="namo", steps=40, **kwargs):
     return RunConfig(**defaults)
 
 
+def momentum_overflow_config(optimizer):
+    return small_config(
+        optimizer,
+        steps=60,
+        problem="matrix_factorization",
+        problem_dims=(8, 3, 6),
+        seed=0,
+        hyper=default_hyperparams(optimizer, eta=1e8),
+        noise=NoiseModel(sigma=0.5),
+    )
+
+
 class TestRun:
     def test_descent_on_benign_problem(self):
         result = run(small_config())
@@ -83,6 +97,22 @@ class TestRun:
             noise=NoiseModel(sigma=0.5),
         )
         assert run(cfg).status in (STATUS_OK, STATUS_DIVERGED)
+
+    @pytest.mark.parametrize("optimizer", ["namo", "namo_d"])
+    def test_momentum_overflow_ends_diverged(self, optimizer):
+        # at eta=1e8 the weight-decay term overflows the update to inf; the
+        # step diagnostics must not reject it before the loss check sees it
+        cfg = momentum_overflow_config(optimizer)
+        result = run(cfg)
+        assert result.status == STATUS_DIVERGED
+        assert 0 < result.steps_completed < cfg.steps
+        assert all(math.isfinite(r.loss) for r in result.records)
+
+    @pytest.mark.parametrize("optimizer", ["namo", "namo_d"])
+    def test_sweep_records_overflowing_etas_as_diverged(self, optimizer):
+        sweep = lr_sweep(momentum_overflow_config(optimizer), [1e-3, 1e8, 1e150])
+        assert [e.status for e in sweep.entries] == [STATUS_OK, STATUS_DIVERGED, STATUS_DIVERGED]
+        assert sweep.best.eta == 1e-3
 
     def test_running_average_recomputes_offline(self):
         result = run(small_config(steps=25))
@@ -478,3 +508,31 @@ def test_namo_and_muon_share_momentum_semantics():
     rec_n = run(cfg_namo).records[-1]
     # not identical (gradient stream differs as iterates move), but both sane
     assert rec_m.loss > 0.0 and rec_n.loss > 0.0
+
+
+@pytest.mark.parametrize(
+    "problem,dims",
+    [("matrix_least_squares", (4, 3, 6)), ("matrix_factorization", (6, 2, 5)), ("mlp", (4, 6, 3))],
+)
+def test_additive_noise_run_evaluates_problem_once_per_step(monkeypatch, problem, dims):
+    # one gradient at theta_0, then one fused loss_and_grad per step
+    counts = Counter()
+    make_problem = harness.make_problem
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def counting_make_problem(config):
+        p = make_problem(config)
+        fields = ("loss", "grad", "loss_and_grad", "minibatch_grad")
+        return replace(p, **{f: counted(f, getattr(p, f)) for f in fields if getattr(p, f) is not None})
+
+    monkeypatch.setattr(harness, "make_problem", counting_make_problem)
+    steps = 12
+    cfg = small_config("namo_d", steps=steps, problem=problem, problem_dims=dims, noise=NoiseModel(sigma=0.5))
+    assert run(cfg).status == STATUS_OK
+    assert sum(counts.values()) <= steps + 1

@@ -250,3 +250,21 @@ def test_problem_data_generation_is_seed_deterministic():
     np.testing.assert_array_equal(a.theta0[0], b.theta0[0])
     c = make_matrix_least_squares(4, 3, 6, seed=6)
     assert not np.array_equal(a.data["X"], c.data["X"])
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        make_matrix_least_squares(5, 3, 8, seed=1),
+        make_matrix_factorization(6, 2, 5, seed=1),
+        make_mlp_problem((3, 5, 4, 2), dataset_size=10, seed=1),
+    ],
+    ids=lambda p: p.name,
+)
+def test_loss_and_grad_is_bitwise_loss_and_grad(problem):
+    rng = Rng(77)
+    params = [rng.normals(int(np.prod(s))).reshape(s) for s in problem.params_spec]
+    loss, grads = problem.loss_and_grad(params)
+    assert loss == problem.loss(params)
+    for fused, alone in zip(grads, problem.grad(params), strict=True):
+        np.testing.assert_array_equal(fused, alone)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from orthopt import rng as rng_module
 from orthopt.errors import InputError
 from orthopt.rng import Rng
+
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 class TestDeterminism:
@@ -25,11 +28,34 @@ class TestDeterminism:
         assert not np.array_equal(base, Rng(1, stream=1).raw64(20))
 
     def test_known_values_frozen(self):
-        # guards against accidental changes to the mixing constants
-        got = Rng(0).raw64(3)
-        again = Rng(0).raw64(3)
-        np.testing.assert_array_equal(got, again)
-        assert len(set(got.tolist())) == 3
+        # guards against accidental changes to the mixing constants: the
+        # scalar finalizer reproduces the published splitmix64 sequence for
+        # state 0, and the vectorized stream equals the scalar oracle
+        # _finalize((key + i * golden) mod 2**64) at small and large counters
+        assert [rng_module._finalize(i * _GOLDEN) for i in (1, 2, 3)] == [
+            0xE220A8397B1DCDAF,
+            0x6E789E6AA1B965F4,
+            0x06C45D188009454F,
+        ]
+        for counter in (0, 2**40 - 5):
+            r = Rng(0, stream=7, counter=counter)
+            got = r.raw64(9).tolist()
+            want = [
+                rng_module._finalize((r._key + i * _GOLDEN) % 2**64)
+                for i in range(counter + 1, counter + 10)
+            ]
+            assert got == want
+            assert r.counter == counter + 9
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 48])
+    def test_normals_are_box_muller_on_split_uniforms(self, n):
+        m = (n + 1) // 2
+        u = Rng(4, counter=2**40).uniforms(2 * m)
+        r, theta = np.sqrt(-2.0 * np.log(u[:m])), (2.0 * np.pi) * u[m:]
+        want = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        gen = Rng(4, counter=2**40)
+        np.testing.assert_array_equal(gen.normals(n), want)
+        assert gen.counter == 2**40 + 2 * m
 
 
 class TestDistributions:
