@@ -22,7 +22,7 @@ from .harness import (
     run,
     write_csv,
 )
-from .verification import LEMMA_TOLERANCES, run_all_checks, snr_tightness_gap
+from .verification import run_all_checks, snr_tightness_gap
 
 _DEFAULT_PROBLEM_DIMS = {
     "matrix_least_squares": (8, 6, 12),
@@ -189,7 +189,7 @@ def _cmd_verify_lemmas(args) -> int:
     write_csv(reports, os.path.join(args.out, "lemmas.csv"))
     all_ok = True
     for report in reports:
-        ok = report.passed(LEMMA_TOLERANCES[report.lemma_id])
+        ok = report.passed()
         all_ok &= ok
         print(
             f"{report.lemma_id}: trials={report.trials} "

@@ -22,7 +22,9 @@ With lambda = 0 the NAMO/NAMO-D updates reduce to the plain two-moment
 recursions over the gradient stream.
 
 Steps validate their inputs once on entry, then run the arithmetic of
-``compute_alpha`` and ``clamp_d`` without re-checking arrays.
+``compute_alpha`` and ``clamp_d`` without re-checking arrays.  The matrix
+steps treat a parameter with more than two dimensions as its
+(d0, d1 * ... * dk) matrix, the convention Muon uses for convolution weights.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class NamoDState:
 
     @classmethod
     def zero(cls, shape) -> "NamoDState":
-        return cls(M=np.zeros(shape), v=np.zeros(shape[1]), t=0)
+        return cls(M=np.zeros(shape), v=np.zeros(math.prod(shape[1:])), t=0)
 
 
 @dataclass
@@ -144,6 +146,11 @@ def _check_step_inputs(theta, grad, state_shape) -> tuple[np.ndarray, np.ndarray
     return th, g
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """``a`` with its trailing dimensions merged into one: (d0, d1 * ... * dk)."""
+    return a.reshape(a.shape[0], -1) if a.ndim > 2 else a
+
+
 def compute_alpha(m, v: float, t: int, hp: HyperParams) -> float:
     """Bias-corrected norm ratio scaling the orthogonalized update.
 
@@ -164,14 +171,15 @@ def _bias_correction(t: int, hp: HyperParams) -> float:
 def namo_step(theta, grad, state: NamoState, hp: HyperParams):
     """One NAMO step; returns (new parameter, new state, diagnostics)."""
     th, g = _check_step_inputs(theta, grad, state.M.shape)
+    shape, th, g = th.shape, _flat(th), _flat(g)
     t_new = state.t + 1
-    m_new = hp.mu1 * state.M + (1.0 - hp.mu1) * g
+    m_new = hp.mu1 * _flat(state.M) + (1.0 - hp.mu1) * g
     v_new = hp.mu2 * state.v + (1.0 - hp.mu2) * _norm(g) ** 2
     o = orthogonalize(m_new, hp.orth)
     alpha = _bias_correction(t_new, hp) * _norm(m_new) / (math.sqrt(v_new) + hp.epsilon)
     update = (hp.eta * alpha) * (o + hp.weight_decay * th)
     diag = StepDiagnostics(update_frobenius=_norm(update), alpha=alpha)
-    return th - update, NamoState(M=m_new, v=v_new, t=t_new), diag
+    return (th - update).reshape(shape), NamoState(M=m_new.reshape(shape), v=v_new, t=t_new), diag
 
 
 def clamp_d(d, c: float) -> np.ndarray:
@@ -195,10 +203,11 @@ def _clamp(d: np.ndarray, c: float) -> tuple[float, np.ndarray]:
 def namo_d_step(theta, grad, state: NamoDState, hp: HyperParams):
     """One NAMO-D step; returns (new parameter, new state, diagnostics)."""
     th, g = _check_step_inputs(theta, grad, state.M.shape)
-    if state.v.shape != (th.shape[1],):
+    shape, th, g = th.shape, _flat(th), _flat(g)
+    if th.ndim < 2 or state.v.shape != (th.shape[1],):
         raise DimensionError("second-moment vector length must equal the column count")
     t_new = state.t + 1
-    m_new = hp.mu1 * state.M + (1.0 - hp.mu1) * g
+    m_new = hp.mu1 * _flat(state.M) + (1.0 - hp.mu1) * g
     gc = _norm(g, axis=0)
     v_new = hp.mu2 * state.v + (1.0 - hp.mu2) * gc * gc
     bias = _bias_correction(t_new, hp)
@@ -212,18 +221,19 @@ def namo_d_step(theta, grad, state: NamoDState, hp: HyperParams):
         d_clamped=d_clamped,
         d_bar=d_bar,
     )
-    return th - update, NamoDState(M=m_new, v=v_new, t=t_new), diag
+    return (th - update).reshape(shape), NamoDState(M=m_new.reshape(shape), v=v_new, t=t_new), diag
 
 
 def muon_step(theta, grad, state: MuonState, hp: HyperParams):
     """One Muon step (orthogonalized momentum, no adaptive scaling)."""
     th, g = _check_step_inputs(theta, grad, state.M.shape)
+    shape, th, g = th.shape, _flat(th), _flat(g)
     t_new = state.t + 1
-    m_new = hp.mu1 * state.M + (1.0 - hp.mu1) * g
+    m_new = hp.mu1 * _flat(state.M) + (1.0 - hp.mu1) * g
     o = orthogonalize(m_new, hp.orth)
     update = hp.eta * (o + hp.weight_decay * th)
     diag = StepDiagnostics(update_frobenius=_norm(update))
-    return th - update, MuonState(M=m_new, t=t_new), diag
+    return (th - update).reshape(shape), MuonState(M=m_new.reshape(shape), t=t_new), diag
 
 
 def adamw_step(theta, grad, state: AdamWState, hp: HyperParams):

@@ -22,6 +22,11 @@ from .linalg import _norm, as_matrix, frobenius_norm, reduced_svd
 DEFAULT_NS_COEFFICIENTS = (3.4445, -4.7750, 2.0315)
 DEFAULT_NS_ITERATIONS = 5
 
+# EXACT mode drops singular values at or below this fraction of sigma_max.
+_RANK_TOLERANCE = 1e-12
+# Inputs with Frobenius norm at or below this map to the zero matrix in both
+# modes, which makes optimizer updates a no-op on an exactly-zero momentum.
+_ZERO_THRESHOLD = 1e-30
 _PRENORM_TINY = 1e-12
 
 
@@ -40,29 +45,20 @@ class OrthMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class OrthConfig:
-    """Settings for ``orthogonalize``.
+    """Settings for ``orthogonalize``: the method and, for NEWTON_SCHULZ, the
+    number of quintic rounds.
 
-    ``rank_tolerance`` only affects EXACT mode: singular values at or below
-    ``rank_tolerance * sigma_max`` are dropped.  Inputs with Frobenius norm at
-    or below ``zero_threshold`` map to the zero matrix in both modes, which
-    makes optimizer updates a no-op on an exactly-zero momentum.
+    The quintic coefficients, the EXACT rank cutoff and the zero threshold
+    are fixed module constants, so a run config's ``orth_method`` and
+    ``ns_iterations`` keys determine the orthogonalizer completely.
     """
 
     method: OrthMethod = OrthMethod.EXACT
     ns_iterations: int = DEFAULT_NS_ITERATIONS
-    ns_coefficients: tuple[float, float, float] = DEFAULT_NS_COEFFICIENTS
-    rank_tolerance: float = 1e-12
-    zero_threshold: float = 1e-30
 
     def __post_init__(self) -> None:
         if self.ns_iterations < 1:
             raise ConfigError("ns_iterations must be >= 1")
-        if len(self.ns_coefficients) != 3:
-            raise ConfigError("ns_coefficients must be a triple (a, b, c)")
-        if not 0.0 <= self.rank_tolerance < 1.0:
-            raise ConfigError("rank_tolerance must lie in [0, 1)")
-        if self.zero_threshold < 0.0:
-            raise ConfigError("zero_threshold must be nonnegative")
 
 
 EXACT = OrthConfig(method=OrthMethod.EXACT)
@@ -81,14 +77,14 @@ def orthogonalize(m, cfg: OrthConfig = EXACT) -> np.ndarray:
     """
     a = as_matrix(m)
     norm = _norm(a)
-    if norm <= cfg.zero_threshold:
+    if norm <= _ZERO_THRESHOLD:
         return np.zeros_like(a)
     if cfg.method is OrthMethod.EXACT:
         f = reduced_svd(a)
         smax = float(f.singular_values[0])
-        keep = f.singular_values > cfg.rank_tolerance * smax
+        keep = f.singular_values > _RANK_TOLERANCE * smax
         return f.U[:, keep] @ f.V[:, keep].T
-    return _newton_schulz(a, norm, cfg.ns_iterations, cfg.ns_coefficients)
+    return _newton_schulz(a, norm, cfg.ns_iterations, DEFAULT_NS_COEFFICIENTS)
 
 
 def _newton_schulz(m: np.ndarray, norm: float, iterations: int, coeffs) -> np.ndarray:

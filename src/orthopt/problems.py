@@ -3,10 +3,10 @@
 Each factory returns an immutable ``Problem`` carrying the loss, its analytic
 gradient, a seeded initial iterate, and (where a dataset exists) a minibatch
 gradient hook.  ``loss_and_grad`` is the fused oracle: one residual or forward
-pass gives both values, and ``grad`` is its second half.  ``stochastic_grad``
-wraps a problem's gradient in either
-additive Gaussian noise calibrated so the aggregate squared Frobenius
-deviation is exactly sigma^2 / b in expectation, or minibatch subsampling.
+pass gives both values, and ``loss`` and ``grad`` are its two halves.
+``stochastic_grad`` wraps a problem's gradient in either additive Gaussian
+noise calibrated so the aggregate squared Frobenius deviation is exactly
+sigma^2 / b in expectation, or minibatch subsampling.
 All randomness flows through the counter-based ``Rng``, so every draw is a
 pure function of (seed, stream, counter).
 """
@@ -101,10 +101,6 @@ def make_matrix_least_squares(m: int, n: int, k: int, seed: int) -> Problem:
     y = x @ theta_star + 0.2 * rng.normal_matrix(k, n)
     theta0 = rng.normal_matrix(m, n) * (0.5 / np.sqrt(m))
 
-    def loss(params: list[np.ndarray]) -> float:
-        r = x @ params[0] - y
-        return 0.5 * float(np.sum(r * r))
-
     def loss_and_grad(params: list[np.ndarray]):
         r = x @ params[0] - y
         return 0.5 * float(np.sum(r * r)), [x.T @ r]
@@ -117,7 +113,7 @@ def make_matrix_least_squares(m: int, n: int, k: int, seed: int) -> Problem:
     return Problem(
         name="matrix_least_squares",
         params_spec=((m, n),),
-        loss=loss,
+        loss=lambda p: loss_and_grad(p)[0],
         grad=lambda p: loss_and_grad(p)[1],
         loss_and_grad=loss_and_grad,
         theta0=(theta0,),
@@ -145,10 +141,6 @@ def make_matrix_factorization(m: int, r: int, n: int, seed: int) -> Problem:
     a0 = rng.normal_matrix(m, r) * (0.5 / np.sqrt(r))
     b0 = rng.normal_matrix(r, n) * (0.5 / np.sqrt(r))
 
-    def loss(params: list[np.ndarray]) -> float:
-        res = params[0] @ params[1] - c
-        return 0.5 * float(np.sum(res * res))
-
     def loss_and_grad(params: list[np.ndarray]):
         res = params[0] @ params[1] - c
         return 0.5 * float(np.sum(res * res)), [res @ params[1].T, params[0].T @ res]
@@ -156,7 +148,7 @@ def make_matrix_factorization(m: int, r: int, n: int, seed: int) -> Problem:
     return Problem(
         name="matrix_factorization",
         params_spec=((m, r), (r, n)),
-        loss=loss,
+        loss=lambda p: loss_and_grad(p)[0],
         grad=lambda p: loss_and_grad(p)[1],
         loss_and_grad=loss_and_grad,
         theta0=(a0, b0),
@@ -204,10 +196,6 @@ def make_mlp_problem(layer_dims, dataset_size: int, seed: int) -> Problem:
                 delta = (delta @ params[2 * l].T) * (1.0 - acts[l] ** 2)
         return 0.5 * float(np.sum(err**2)) / xs.shape[0], grads
 
-    def loss(params: list[np.ndarray]) -> float:
-        out = _mlp_forward(params, x_data, n_layers)[-1]
-        return 0.5 * float(np.sum((out - y_data) ** 2)) / dataset_size
-
     def loss_and_grad(params: list[np.ndarray]):
         return loss_and_grad_on(params, x_data, y_data)
 
@@ -217,7 +205,7 @@ def make_mlp_problem(layer_dims, dataset_size: int, seed: int) -> Problem:
     return Problem(
         name="mlp",
         params_spec=tuple(p.shape for p in theta0),
-        loss=loss,
+        loss=lambda p: loss_and_grad(p)[0],
         grad=lambda p: loss_and_grad(p)[1],
         loss_and_grad=loss_and_grad,
         theta0=tuple(theta0),

@@ -62,16 +62,20 @@ class Rng:
     _key: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.counter &= _MASK
         self._key = _finalize((self.seed + ((self.stream + 1) * _GOLDEN)) & _MASK)
 
     def raw64(self, n: int) -> np.ndarray:
         """Return the next ``n`` 64-bit outputs and advance the counter."""
         if n < 0:
             raise InputError("draw count must be nonnegative")
-        z = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
-        self.counter += n
+        # The counter lives mod 2**64: the first position's state is reduced as
+        # a Python int, the offsets wrap in uint64 arithmetic.
+        start = (self._key + (self.counter + 1) * _GOLDEN) & _MASK
+        z = np.arange(n, dtype=np.uint64)
         z *= _GOLDEN64
-        z += np.uint64(self._key)
+        z += np.uint64(start)
+        self.counter = (self.counter + n) & _MASK
         return _finalize_array(z)
 
     def uniforms(self, n: int) -> np.ndarray:

@@ -54,9 +54,8 @@ class LemmaReport:
     max_violation: float
     worst_case_inputs: str
 
-    def passed(self, tolerance: float | None = None) -> bool:
-        tol = LEMMA_TOLERANCES[self.lemma_id] if tolerance is None else tolerance
-        return self.max_violation <= tol
+    def passed(self) -> bool:
+        return self.max_violation <= LEMMA_TOLERANCES[self.lemma_id]
 
 
 def _report(lemma_id: str, trials: int, max_violation: float, worst) -> LemmaReport:
@@ -166,30 +165,24 @@ def series_mutsqrt_sides(mu: float, t_steps: int) -> tuple[float, float]:
     return lhs, rhs
 
 
-_DEFAULT_MU_GRID = (0.5, 0.9, 0.99, 0.999)
-_DEFAULT_T_GRID = (1, 10, 100, 1000, 10000)
+_SERIES_MU_GRID = (0.5, 0.9, 0.99, 0.999)
+_SERIES_T_GRID = (1, 10, 100, 1000, 10000)
 
 
-def check_series_mut(mu_grid=None, t_grid=None) -> LemmaReport:
-    return _check_series("SERIES_MUT", series_mut_sides, mu_grid, t_grid)
+def check_series_mut() -> LemmaReport:
+    return _check_series("SERIES_MUT", series_mut_sides)
 
 
-def check_series_mutsqrt(mu_grid=None, t_grid=None) -> LemmaReport:
-    return _check_series("SERIES_MUTSQRT", series_mutsqrt_sides, mu_grid, t_grid)
+def check_series_mutsqrt() -> LemmaReport:
+    return _check_series("SERIES_MUTSQRT", series_mutsqrt_sides)
 
 
-def _check_series(lemma_id: str, sides, mu_grid, t_grid) -> LemmaReport:
-    mu_grid = _DEFAULT_MU_GRID if mu_grid is None else mu_grid
-    t_grid = _DEFAULT_T_GRID if t_grid is None else t_grid
+def _check_series(lemma_id: str, sides) -> LemmaReport:
     worst_violation = -math.inf
     worst = None
     trials = 0
-    for mu in mu_grid:
-        if not 0.0 < mu < 1.0:
-            raise InputError("mu grid entries must lie in (0, 1)")
-        for t_steps in t_grid:
-            if t_steps < 1:
-                raise InputError("T grid entries must be >= 1")
+    for mu in _SERIES_MU_GRID:
+        for t_steps in _SERIES_T_GRID:
             trials += 1
             lhs, rhs = sides(mu, t_steps)
             # Relative scaling keeps the check meaningful when both sides are

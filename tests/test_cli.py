@@ -70,6 +70,16 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
         assert "status=diverged" in capsys.readouterr().out
 
+    def test_grad_norm_overflow_run_exits_ok_with_diverged_status(self, tmp_path, capsys):
+        # finite per-parameter sums of squares whose total overflows
+        path = tmp_path / "run.ini"
+        path.write_text(
+            "[run]\nproblem = matrix_factorization\ndims = 8,3,6\noptimizer = muon\n"
+            "eta = 1.809689501902376e51\nsigma = 0.5\nsteps = 30\nwarmup_steps = 0\n"
+        )
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert "status=diverged" in capsys.readouterr().out
+
     def test_unwritable_out_is_io_error(self, run_config, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")

@@ -1,8 +1,12 @@
+import dataclasses
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orthopt import harness
 from orthopt.errors import ConfigError
@@ -29,6 +33,7 @@ from orthopt.harness import (
     write_csv,
 )
 from orthopt.optimizers import HyperParams
+from orthopt.orthogonalize import OrthConfig, OrthMethod
 from orthopt.problems import NoiseKind, NoiseModel
 from orthopt.verification import LemmaReport
 
@@ -58,6 +63,16 @@ def momentum_overflow_config(optimizer):
         hyper=default_hyperparams(optimizer, eta=1e8),
         noise=NoiseModel(sigma=0.5),
     )
+
+
+# Muon step size at which the gradient's per-parameter sums of squares stay
+# finite while their total overflows the float range.
+GRAD_NORM_OVERFLOW_ETA = 1.809689501902376e51
+
+
+def grad_norm_overflow_config():
+    hyper = default_hyperparams("muon", eta=GRAD_NORM_OVERFLOW_ETA)
+    return replace(momentum_overflow_config("muon"), steps=30, hyper=hyper)
 
 
 class TestRun:
@@ -113,6 +128,15 @@ class TestRun:
         sweep = lr_sweep(momentum_overflow_config(optimizer), [1e-3, 1e8, 1e150])
         assert [e.status for e in sweep.entries] == [STATUS_OK, STATUS_DIVERGED, STATUS_DIVERGED]
         assert sweep.best.eta == 1e-3
+
+    def test_grad_norm_overflow_ends_diverged(self):
+        result = run(grad_norm_overflow_config())
+        assert result.status == STATUS_DIVERGED
+        assert all(math.isfinite(r.grad_fro) for r in result.records)
+
+    def test_sweep_records_grad_norm_overflow_as_diverged(self):
+        sweep = lr_sweep(grad_norm_overflow_config(), [1e-3, GRAD_NORM_OVERFLOW_ETA])
+        assert [e.status for e in sweep.entries] == [STATUS_OK, STATUS_DIVERGED]
 
     def test_running_average_recomputes_offline(self):
         result = run(small_config(steps=25))
@@ -384,6 +408,34 @@ class TestConfigFiles:
         assert canonical_config_text(a) == canonical_config_text(b)
         assert derive_stream(a) == derive_stream(b)
 
+    def test_canonical_text_covers_every_config_field(self):
+        # every leaf field of the config reaches the RNG stream, under its
+        # config-file key; repeats is excluded because the CLI changes the
+        # seed for each repeat
+        renames = {"problem_dims": "dims", "method": "orth_method", "kind": "noise_kind"}
+
+        def leaves(obj):
+            for f in dataclasses.fields(obj):
+                value = getattr(obj, f.name)
+                if dataclasses.is_dataclass(value):
+                    yield from leaves(value)
+                else:
+                    yield renames.get(f.name, f.name)
+
+        cfg = small_config()
+        fields = [name for name in leaves(cfg) if name != "repeats"]
+        keys = [line.split("=", 1)[0] for line in canonical_config_text(cfg).splitlines()]
+        assert sorted(fields) == sorted(keys)
+
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "run.ini"
+        path.write_text(block)
+        config = load_run_config(str(path))
+        assert (config.problem, config.problem_dims) == ("matrix_least_squares", (8, 6, 12))
+        assert (config.optimizer, config.hyper.eta, config.steps) == ("namo", 0.012, 2000)
+
     def test_stream_depends_on_semantic_fields(self):
         a = small_config(seed=1)
         b = small_config(seed=2)
@@ -536,3 +588,43 @@ def test_additive_noise_run_evaluates_problem_once_per_step(monkeypatch, problem
     cfg = small_config("namo_d", steps=steps, problem=problem, problem_dims=dims, noise=NoiseModel(sigma=0.5))
     assert run(cfg).status == STATUS_OK
     assert sum(counts.values()) <= steps + 1
+
+
+_PROPERTY_DIMS = {
+    "matrix_least_squares": (8, 6, 12),
+    "matrix_factorization": (8, 3, 6),
+    "mlp": (4, 6, 3),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    problem=st.sampled_from(sorted(_PROPERTY_DIMS)),
+    optimizer=st.sampled_from(harness.OPTIMIZER_IDS),
+    method=st.sampled_from(list(OrthMethod)),
+    eta=st.floats(-3.0, 150.0).map(lambda e: 10.0**e),
+    minibatch=st.booleans(),
+)
+@example(
+    problem="matrix_factorization",
+    optimizer="muon",
+    method=OrthMethod.EXACT,
+    eta=GRAD_NORM_OVERFLOW_ETA,
+    minibatch=False,
+)
+def test_every_run_ends_ok_or_diverged(problem, optimizer, method, eta, minibatch):
+    # matrix_factorization has no dataset, so it only takes additive noise
+    if minibatch and problem != "matrix_factorization":
+        noise = NoiseModel(sigma=0.5, batch_size=4, kind=NoiseKind.MINIBATCH)
+    else:
+        noise = NoiseModel(sigma=0.5)
+    cfg = small_config(
+        optimizer,
+        steps=30,
+        problem=problem,
+        problem_dims=_PROPERTY_DIMS[problem],
+        seed=0,
+        hyper=default_hyperparams(optimizer, eta=eta, orth=OrthConfig(method=method)),
+        noise=noise,
+    )
+    assert run(cfg).status in (STATUS_OK, STATUS_DIVERGED)

@@ -325,6 +325,8 @@ class TestNamoDStep:
         bad = NamoDState(M=np.zeros((3, 2)), v=np.zeros(3), t=0)
         with pytest.raises(DimensionError):
             namo_d_step(np.zeros((3, 2)), np.zeros((3, 2)), bad, hp)
+        with pytest.raises(DimensionError):
+            namo_d_step(np.zeros(3), np.zeros(3), NamoDState.zero((3,)), hp)
 
 
 class TestMuonStep:
@@ -472,3 +474,24 @@ def test_update_frobenius_diagnostic():
     theta0 = np.zeros((3, 3))
     theta, _, diag = muon_step(theta0, g, MuonState.zero((3, 3)), hp)
     assert diag.update_frobenius == pytest.approx(frobenius_norm(theta0 - theta), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "step,state_cls", [(namo_step, NamoState), (namo_d_step, NamoDState), (muon_step, MuonState)]
+)
+def test_three_dim_parameter_steps_as_its_matrix_reshape(step, state_cls):
+    # route_parameter sends (2, 3, 4) to the matrix rule, which steps it as
+    # its (2, 12) matrix and hands back the original shape
+    rng = Rng(62)
+    hp = HyperParams(eta=0.05, weight_decay=0.01, clamp_c=0.5, orth=EXACT)
+    theta3, state3 = rng.normal_matrix(2, 12).reshape(2, 3, 4), state_cls.zero((2, 3, 4))
+    theta2, state2 = theta3.reshape(2, 12), state_cls.zero((2, 12))
+    for _ in range(4):
+        g = rng.normal_matrix(2, 12)
+        theta3, state3, diag3 = step(theta3, g.reshape(2, 3, 4), state3, hp)
+        theta2, state2, diag2 = step(theta2, g, state2, hp)
+        assert theta3.shape == state3.M.shape == (2, 3, 4)
+        np.testing.assert_array_equal(theta3.reshape(2, 12), theta2)
+        np.testing.assert_array_equal(state3.M.reshape(2, 12), state2.M)
+        np.testing.assert_array_equal(getattr(state3, "v", None), getattr(state2, "v", None))
+        assert diag3.update_frobenius == diag2.update_frobenius

@@ -47,6 +47,22 @@ class TestDeterminism:
             assert got == want
             assert r.counter == counter + 9
 
+    def test_counter_wraps_at_two_to_the_64(self):
+        # the counter lives mod 2**64: position 2**64 is position 0, and a
+        # draw that crosses 2**64 continues the scalar oracle mod 2**64
+        r = Rng(5, stream=3, counter=2**64)
+        np.testing.assert_array_equal(r.raw64(4), Rng(5, stream=3).raw64(4))
+        assert r.counter == 4
+        start = 2**64 - 200
+        r = Rng(5, stream=3, counter=start)
+        got = r.raw64(1000).tolist()
+        want = [
+            rng_module._finalize((r._key + i * _GOLDEN) % 2**64)
+            for i in range(start + 1, start + 1001)
+        ]
+        assert got == want
+        assert r.counter == 800
+
     @pytest.mark.parametrize("n", [1, 7, 8, 48])
     def test_normals_are_box_muller_on_split_uniforms(self, n):
         m = (n + 1) // 2

@@ -127,12 +127,6 @@ class TestSeriesBounds:
         assert check_series_mut().max_violation <= LEMMA_TOLERANCES["SERIES_MUT"]
         assert check_series_mutsqrt().max_violation <= LEMMA_TOLERANCES["SERIES_MUTSQRT"]
 
-    def test_grid_validation(self):
-        with pytest.raises(InputError):
-            check_series_mut(mu_grid=[1.5])
-        with pytest.raises(InputError):
-            check_series_mut(t_grid=[0])
-
 
 class TestTraceInequality:
     def test_identity_diagonal_is_duality_identity(self):
