@@ -21,7 +21,9 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from collections import defaultdict
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,7 +45,6 @@ from .optimizers import (
 )
 from .orthogonalize import OrthConfig, OrthMethod
 from .problems import (
-    NoiseKind,
     NoiseModel,
     Problem,
     make_matrix_factorization,
@@ -78,9 +79,6 @@ DEFAULT_ETA_GRIDS = {
 }
 DEFAULT_C_GRID = (0.12, 0.40, 0.75, 0.90)
 DEFAULT_ETA = {"adamw": 0.0013, "muon": 0.0013, "namo": 0.012, "namo_d": 0.009}
-
-_FALLBACK_MOMENTS = (0.9, 0.95)
-_FALLBACK_EPSILON = 1e-8
 
 STATUS_OK = "ok"
 STATUS_DIVERGED = "diverged"
@@ -191,31 +189,64 @@ def build_problem(name: str, dims: Sequence[int], seed: int, dataset_size: int =
 # ---------------------------------------------------------------------------
 
 
+def _word(value: str) -> str:
+    return value.strip().lower()
+
+
+def _dims(value) -> tuple[int, ...]:
+    return tuple(int(d) for d in (value.split(",") if isinstance(value, str) else value))
+
+
+def _orth_method(value) -> OrthMethod:
+    return value if isinstance(value, OrthMethod) else OrthMethod.from_string(value)
+
+
+# The config schema: each config-file key, the RunConfig field it sets (a
+# dotted path through hyper, hyper.orth and noise) and its parser, which
+# takes file text or a field value to the field's type.  A key left out of a
+# file takes its dataclass default, or default_hyperparams/default_warmup
+# where the default depends on the optimizer or on steps.
+_CONFIG_KEYS = {
+    "problem": ("problem", str.strip),
+    "dims": ("problem_dims", _dims),
+    "problem_seed": ("problem_seed", int),
+    "dataset_size": ("dataset_size", int),
+    "optimizer": ("optimizer", _word),
+    "eta": ("hyper.eta", float),
+    "mu1": ("hyper.mu1", float),
+    "mu2": ("hyper.mu2", float),
+    "epsilon": ("hyper.epsilon", float),
+    "weight_decay": ("hyper.weight_decay", float),
+    "clamp_c": ("hyper.clamp_c", float),
+    "orth_method": ("hyper.orth.method", _orth_method),
+    "ns_iterations": ("hyper.orth.ns_iterations", int),
+    "steps": ("steps", int),
+    "warmup_steps": ("warmup_steps", int),
+    "log_every": ("log_every", int),
+    "seed": ("seed", int),
+    "repeats": ("repeats", int),
+    "sigma": ("noise.sigma", float),
+    "batch_size": ("noise.batch_size", int),
+    "noise_kind": ("noise.kind", _word),
+}
+
+
+def _text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return value.value if isinstance(value, OrthMethod) else str(value)
+
+
 def canonical_config_text(config: RunConfig) -> str:
-    hp = config.hyper
-    items = {
-        "problem": config.problem,
-        "dims": ",".join(str(d) for d in config.problem_dims),
-        "problem_seed": str(config.problem_seed),
-        "dataset_size": str(config.dataset_size),
-        "optimizer": config.optimizer,
-        "eta": repr(hp.eta),
-        "mu1": repr(hp.mu1),
-        "mu2": repr(hp.mu2),
-        "epsilon": repr(hp.epsilon),
-        "weight_decay": repr(hp.weight_decay),
-        "clamp_c": repr(hp.clamp_c),
-        "orth_method": hp.orth.method.value,
-        "ns_iterations": str(hp.orth.ns_iterations),
-        "steps": str(config.steps),
-        "warmup_steps": str(config.warmup_steps),
-        "log_every": str(config.log_every),
-        "seed": str(config.seed),
-        "sigma": repr(config.noise.sigma),
-        "batch_size": str(config.noise.batch_size),
-        "noise_kind": config.noise.kind,
-    }
-    return "\n".join(f"{k}={items[k]}" for k in sorted(items))
+    """Sorted ``key=value`` lines of every config key except ``repeats`` (the
+    CLI gives each repeat its own seed).  Values pass through their key's
+    parser, so numerically equal configs (``sigma`` 1, 1.0 or
+    ``np.float64(1.0)``) have one text and one RNG stream."""
+    return "\n".join(
+        f"{key}={_text(parse(reduce(getattr, path.split('.'), config)))}"
+        for key, (path, parse) in sorted(_CONFIG_KEYS.items())
+        if key != "repeats"
+    )
 
 
 def derive_stream(config: RunConfig) -> int:
@@ -225,81 +256,46 @@ def derive_stream(config: RunConfig) -> int:
 
 def load_run_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found or unreadable: {path}")
-    if not parser.has_section("run"):
-        raise ConfigError(f"config file {path} has no [run] section")
-    section = dict(parser.items("run"))
     try:
-        return config_from_mapping(section)
-    except (ValueError, KeyError) as exc:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError("file not found or unreadable")
+        if not parser.has_section("run"):
+            raise ConfigError("no [run] section")
+        return config_from_mapping(dict(parser.items("run")))
+    except (configparser.Error, ValueError) as exc:  # also ConfigError, UnicodeDecodeError
         raise ConfigError(f"invalid config {path}: {exc}") from exc
 
 
+# RunConfig fields with no default: their keys must be present.
+_REQUIRED_FIELDS = {f.name for f in fields(RunConfig) if f.default is f.default_factory is MISSING}
+
+
 def config_from_mapping(section: dict) -> RunConfig:
-    section = dict(section)
-
-    def get(key, default=None):
-        return section.pop(key, default)
-
-    problem = get("problem")
-    if problem is None:
-        raise ConfigError("config is missing required key 'problem'")
-    optimizer = get("optimizer")
-    if optimizer is None:
-        raise ConfigError("config is missing required key 'optimizer'")
-    optimizer = optimizer.strip().lower()
-    dims_text = get("dims")
-    if dims_text is None:
-        raise ConfigError("config is missing required key 'dims'")
-    dims = tuple(int(v) for v in str(dims_text).split(","))
-    steps = int(get("steps", 0))
-    if steps < 1:
-        raise ConfigError("config needs steps >= 1")
-
-    warmup_text = get("warmup_steps")
-    warmup = default_warmup(steps) if warmup_text is None else int(warmup_text)
-
-    orth = OrthConfig(
-        method=OrthMethod.from_string(str(get("orth_method", "exact"))),
-        ns_iterations=int(get("ns_iterations", 5)),
-    )
-    hyper_keys = ("eta", "mu1", "mu2", "epsilon", "weight_decay", "clamp_c")
-    overrides = {key: float(get(key)) for key in hyper_keys if key in section}
-    hyper = default_hyperparams(optimizer, orth=orth, **overrides)
-    noise = NoiseModel(
-        sigma=float(get("sigma", 0.0)),
-        batch_size=int(get("batch_size", 1)),
-        kind=str(get("noise_kind", NoiseKind.ADDITIVE_GAUSSIAN)).strip().lower(),
-    )
-    config = RunConfig(
-        problem=str(problem).strip(),
-        problem_dims=dims,
-        optimizer=optimizer,
-        hyper=hyper,
-        steps=steps,
-        noise=noise,
-        problem_seed=int(get("problem_seed", 0)),
-        dataset_size=int(get("dataset_size", 64)),
-        warmup_steps=warmup,
-        log_every=int(get("log_every", 1)),
-        seed=int(get("seed", 0)),
-        repeats=int(get("repeats", 1)),
-    )
-    if section:
-        raise ConfigError(f"unknown config keys: {sorted(section)}")
-    return config
+    unknown = sorted(set(section) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    missing = [k for k, (path, _) in _CONFIG_KEYS.items() if path in _REQUIRED_FIELDS and k not in section]
+    if missing:
+        raise ConfigError(f"config is missing required keys: {missing}")
+    # parsed values grouped by the dataclass they belong to ("" is RunConfig)
+    values = defaultdict(dict)
+    for key, text in section.items():
+        path, parse = _CONFIG_KEYS[key]
+        owner, _, name = path.rpartition(".")
+        try:
+            values[owner][name] = parse(text)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"invalid value for {key!r}: {exc}") from exc
+    top = values[""]
+    orth = OrthConfig(**values["hyper.orth"])
+    hyper = default_hyperparams(top["optimizer"], orth=orth, **values["hyper"])
+    top.setdefault("warmup_steps", default_warmup(top["steps"]))
+    return RunConfig(**top, hyper=hyper, noise=NoiseModel(**values["noise"]))
 
 
 # ---------------------------------------------------------------------------
 # Core run loop.
 # ---------------------------------------------------------------------------
-
-
-def _fallback_hyperparams(hp: HyperParams) -> HyperParams:
-    mu1, mu2 = _FALLBACK_MOMENTS
-    return replace(hp, mu1=mu1, mu2=mu2, epsilon=_FALLBACK_EPSILON, clamp_c=1.0)
 
 
 _STEPS = {"namo": namo_step, "namo_d": namo_d_step, "muon": muon_step, "adamw": adamw_step}
@@ -332,7 +328,7 @@ def run(config: RunConfig) -> RunResult:
     problem = make_problem(config)
     theta = problem.initial_params()
     hp = config.hyper
-    fallback_hp = _fallback_hyperparams(hp)
+    fallback_hp = default_hyperparams("adamw", eta=hp.eta, weight_decay=hp.weight_decay, orth=hp.orth)
     rng = Rng(config.seed, stream=derive_stream(config))
 
     plans = [
@@ -485,6 +481,8 @@ def theorem_schedule(regime: str, t_steps: int, multiplier: float = 1.0) -> dict
     Stochastic regime: eta = T^(-3/4), 1 - mu1 = 1 - mu2 = T^(-1/2),
     eps = T^(-1/2).  ``multiplier`` scales eta only.
     """
+    if t_steps < 1:
+        raise ConfigError(f"the horizon T must be >= 1, got {t_steps}")
     if regime == "det":
         return {
             "eta": multiplier * t_steps**-0.5,

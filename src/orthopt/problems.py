@@ -239,8 +239,6 @@ def stochastic_grad(
 
     ``det_grads``, if given, is ``problem.grad(params)`` already evaluated.
     """
-    if noise.batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
     _check_params(problem, params)
     if noise.kind == NoiseKind.ADDITIVE_GAUSSIAN:
         grads = problem.grad(params) if det_grads is None else det_grads

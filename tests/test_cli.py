@@ -20,6 +20,14 @@ warmup_steps = 0
 seed = 3
 """
 
+# config files that configparser itself rejects, or cannot decode
+MALFORMED_CONFIGS = {
+    "no_section_header": b"problem = mlp\n",
+    "bare_percent": RUN_INI.encode() + b"sigma = 5%\n",
+    "duplicate_key": RUN_INI.encode() + b"seed = 4\n",
+    "non_utf8": RUN_INI.encode() + b"; caf\xe9\n",
+}
+
 
 @pytest.fixture
 def run_config(tmp_path):
@@ -58,6 +66,13 @@ class TestRunCommand:
         path = tmp_path / "run.ini"
         path.write_text(RUN_INI + "bogus = 1\n")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CONFIGS))
+    def test_malformed_config_is_config_error(self, name, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(MALFORMED_CONFIGS[name])
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.parametrize("optimizer", ["namo", "namo_d"])
     def test_overflowing_run_exits_ok_with_diverged_status(self, optimizer, tmp_path, capsys):
@@ -138,6 +153,20 @@ class TestRatesCommand:
         )
         assert code == EXIT_CONFIG
 
+    def test_zero_horizon_is_config_error(self, tmp_path, capsys):
+        code = main(
+            [
+                "rates",
+                "--problem", "matrix_least_squares",
+                "--optimizer", "namo",
+                "--T", "0,4,16",
+                "--regime", "det",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
 
 class TestVerifyLemmasCommand:
     def test_passes_on_defaults(self, tmp_path, capsys):
@@ -195,6 +224,21 @@ class TestBatchAdaptCommand:
             ]
         )
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("t_steps", ["0", "-4"])
+    def test_non_positive_horizon_is_config_error(self, t_steps, tmp_path, capsys):
+        code = main(
+            [
+                "batch-adapt",
+                "--sigma", "1",
+                "--b", "1,4",
+                "--seeds", "1,2,3",
+                "--T", t_steps,
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_unknown_command_is_config_error():

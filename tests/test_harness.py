@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
 import math
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from orthopt import harness
 from orthopt.errors import ConfigError
 from orthopt.harness import (
+    OPTIMIZER_IDS,
     BatchAdaptResult,
     RunConfig,
     RunRecord,
@@ -299,6 +302,12 @@ class TestTheoremSchedule:
         with pytest.raises(ConfigError):
             theorem_schedule("fast", 100)
 
+    @pytest.mark.parametrize("regime", ["det", "stoch"])
+    @pytest.mark.parametrize("t_steps", [0, -4])
+    def test_non_positive_horizon_rejected(self, regime, t_steps):
+        with pytest.raises(ConfigError):
+            theorem_schedule(regime, t_steps)
+
 
 class TestRateExperiment:
     def test_synthetic_slope_plumbing(self):
@@ -347,6 +356,48 @@ class TestBatchAdaptation:
             batch_adaptation_experiment(
                 "matrix_least_squares", (4, 3, 6), "namo", 10, 1.0, [1, 4], [1, 2]
             )
+
+
+def readme_config_block():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def load_ini(tmp_path, text):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    return load_run_config(str(path))
+
+
+CRITERION_10_INI = """\
+[run]
+problem = matrix_least_squares
+dims = 4,3,6
+optimizer = namo_d
+eta = 0.03
+steps = 50
+warmup_steps = 5
+sigma = 0.5
+batch_size = 2
+seed = 9
+"""
+
+# the first muon config of the benchmark's MLP workload
+PERFBENCH_MLP_INI = """\
+[run]
+problem = mlp
+dims = 16,64,64,8
+dataset_size = 256
+optimizer = muon
+orth_method = newton_schulz
+noise_kind = minibatch
+batch_size = 32
+steps = 64
+log_every = 1
+repeats = 5
+seed = 100
+problem_seed = 0
+"""
 
 
 class TestConfigFiles:
@@ -428,13 +479,62 @@ class TestConfigFiles:
         assert sorted(fields) == sorted(keys)
 
     def test_readme_config_example_loads(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
-        path = tmp_path / "run.ini"
-        path.write_text(block)
-        config = load_run_config(str(path))
+        config = load_ini(tmp_path, readme_config_block())
         assert (config.problem, config.problem_dims) == ("matrix_least_squares", (8, 6, 12))
         assert (config.optimizer, config.hyper.eta, config.steps) == ("namo", 0.012, 2000)
+
+    # pinned streams: a change to the canonical text moves every CSV
+    @pytest.mark.parametrize(
+        "make, stream",
+        [
+            (lambda tmp: load_ini(tmp, readme_config_block()), 4263782655331766238),
+            (lambda tmp: load_ini(tmp, CRITERION_10_INI), 3120254188480636900),
+            (lambda tmp: load_ini(tmp, PERFBENCH_MLP_INI), 7286330072102708396),
+            (
+                lambda tmp: harness._theorem_config(
+                    "matrix_least_squares", (8, 6, 12), "namo_d", "stoch", 64, 1.0,
+                    noise=NoiseModel(sigma=1.0, batch_size=16), problem_seed=0, seed=1,
+                ),
+                328985773715451741,
+            ),
+        ],
+        ids=["readme", "criterion_10", "perfbench_mlp", "theorem_schedule"],
+    )
+    def test_golden_streams(self, make, stream, tmp_path):
+        assert derive_stream(make(tmp_path)) == stream
+
+    def test_canonical_text_round_trips(self):
+        dims = {"matrix_least_squares": (4, 3, 6), "matrix_factorization": (6, 2, 5), "mlp": (3, 5, 2)}
+        noises = [
+            NoiseModel(),
+            NoiseModel(sigma=0.5, batch_size=4),
+            NoiseModel(batch_size=8, kind=NoiseKind.MINIBATCH),
+        ]
+        for (problem, d), optimizer, method, noise in itertools.product(
+            dims.items(), OPTIMIZER_IDS, OrthMethod, noises
+        ):
+            hyper = default_hyperparams(optimizer, eta=0.1 + 0.2, orth=OrthConfig(method, 7))
+            config = small_config(
+                optimizer, problem=problem, problem_dims=d, hyper=hyper, noise=noise,
+                warmup_steps=3, problem_seed=2, dataset_size=48, log_every=3,
+            )
+            text = canonical_config_text(config)
+            assert config_from_mapping(dict(line.split("=", 1) for line in text.splitlines())) == config
+
+    @pytest.mark.parametrize("sigma", [1, np.float64(1.0)])
+    def test_numerically_equal_configs_share_one_stream(self, sigma):
+        args = ("matrix_least_squares", (8, 6, 12), "namo", 32)
+        kwargs = dict(b_list=[1, 16], seeds=[1, 2, 3])
+        reference = batch_adaptation_experiment(*args, sigma=1.0, **kwargs)
+        assert batch_adaptation_experiment(*args, sigma=sigma, **kwargs).rows == reference.rows
+
+    def test_numpy_floats_are_written_as_numbers(self):
+        config = small_config(hyper=default_hyperparams("namo", eta=np.float64(0.012)))
+        assert "eta=0.012" in canonical_config_text(config).splitlines()
+
+    def test_unparsable_value_names_its_key(self):
+        with pytest.raises(ConfigError, match="'steps'"):
+            config_from_mapping({"problem": "mlp", "dims": "2,4,2", "optimizer": "namo", "steps": "x"})
 
     def test_stream_depends_on_semantic_fields(self):
         a = small_config(seed=1)
