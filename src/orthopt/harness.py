@@ -11,6 +11,8 @@ pre-step iterate, shared with the loss evaluation through the fused
 ``loss_and_grad`` (and reused by the additive-noise oracle); its running
 average is the quantity the convergence guarantees bound, so that is what
 gets measured.
+Each run builds its gradient oracle once; it draws additive noise per block
+of steps, and CSV bytes do not depend on the block size.
 For multi-parameter problems the per-step diagnostics columns aggregate over
 matrix-routed parameters: ``alpha`` and ``d_bar`` are means, ``d_min``/
 ``d_max`` are the global extremes of the clamped stepsizes.
@@ -47,10 +49,10 @@ from .orthogonalize import OrthConfig, OrthMethod
 from .problems import (
     NoiseModel,
     Problem,
+    _gradient_oracle,
     make_matrix_factorization,
     make_matrix_least_squares,
     make_mlp_problem,
-    stochastic_grad,
 )
 from .rng import Rng
 from .verification import LemmaReport, estimate_rate_slope
@@ -170,6 +172,8 @@ def make_problem(config: RunConfig) -> Problem:
 
 def build_problem(name: str, dims: Sequence[int], seed: int, dataset_size: int = 64) -> Problem:
     dims = tuple(int(d) for d in dims)
+    if any(d < 1 for d in dims):
+        raise ConfigError("dimensions must be positive")
     if name == "matrix_least_squares":
         if len(dims) != 3:
             raise ConfigError("matrix_least_squares needs dims (m, n, k)")
@@ -305,7 +309,7 @@ _STATES = {"namo": NamoState, "namo_d": NamoDState, "muon": MuonState, "adamw": 
 def _grad_norm(grads: list[np.ndarray]) -> float:
     """Frobenius norm over all gradients; inf when the sum of squares overflows."""
     try:
-        return math.sqrt(math.fsum(float(np.sum(g * g)) for g in grads))
+        return math.sqrt(math.fsum(float(np.add.reduce(g * g, axis=None)) for g in grads))
     except OverflowError:  # fsum of finite terms past the float maximum
         return math.inf
 
@@ -330,6 +334,7 @@ def run(config: RunConfig) -> RunResult:
     hp = config.hyper
     fallback_hp = default_hyperparams("adamw", eta=hp.eta, weight_decay=hp.weight_decay, orth=hp.orth)
     rng = Rng(config.seed, stream=derive_stream(config))
+    oracle = _gradient_oracle(problem, config.noise, rng, config.steps)
 
     plans = [
         (config.optimizer, hp)
@@ -344,7 +349,7 @@ def run(config: RunConfig) -> RunResult:
     # loss, so float overflow along the way is expected rather than an error.
     with np.errstate(over="ignore", invalid="ignore"):
         status, steps_completed, final_loss, final_avg = _run_loop(
-            config, problem, theta, hp, plans, states, rng, records
+            config, problem, theta, hp, plans, states, oracle, records
         )
 
     if status != STATUS_OK:
@@ -359,7 +364,7 @@ def run(config: RunConfig) -> RunResult:
     )
 
 
-def _run_loop(config, problem, theta, hp, plans, states, rng, records):
+def _run_loop(config, problem, theta, hp, plans, states, oracle, records):
     grad_norm_sum = 0.0
     status = STATUS_OK
     steps_completed = 0
@@ -369,7 +374,7 @@ def _run_loop(config, problem, theta, hp, plans, states, rng, records):
     # Gradient at theta_0; afterwards the one at theta_t comes with its loss.
     det_grads = problem.grad(theta)
     for t in range(1, config.steps + 1):
-        if not all(np.all(np.isfinite(p)) for p in theta):
+        if not all(np.isfinite(p).all() for p in theta):
             status = STATUS_DIVERGED
             break
         grad_norm = _grad_norm(det_grads)
@@ -379,7 +384,7 @@ def _run_loop(config, problem, theta, hp, plans, states, rng, records):
         grad_norm_sum += grad_norm
         avg_grad = grad_norm_sum / t
 
-        grads = stochastic_grad(problem, theta, config.noise, rng, det_grads)
+        grads = oracle(theta, det_grads)
 
         eta_t = effective_eta(hp.eta, t, config.warmup_steps)
         # replace() re-validates HyperParams, so only warmup steps pay for it.

@@ -30,14 +30,14 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
         raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DimensionError(f"{name} must have at least one row and one column")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError(f"{name} contains non-finite entries")
     return np.ascontiguousarray(arr)
 
 
 def _norm(a: np.ndarray, axis=None):
     """Unchecked norm: Frobenius (a float, any shape) or column norms (axis=0)."""
-    squares = np.sum(a * a, axis=axis)
+    squares = np.add.reduce(a * a, axis=axis)
     return math.sqrt(float(squares)) if axis is None else np.sqrt(squares)
 
 
@@ -76,6 +76,14 @@ class SvdFactors:
         return (self.U * self.singular_values) @ self.V.T
 
 
+def _svd(a: np.ndarray):
+    """gesdd's ``(u, s, vt)`` of a validated matrix, with LAPACK's signs."""
+    try:
+        return np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK SVD failed: {exc}") from exc
+
+
 def reduced_svd(m) -> SvdFactors:
     """Reduced SVD from LAPACK's divide-and-conquer driver (gesdd).
 
@@ -85,11 +93,7 @@ def reduced_svd(m) -> SvdFactors:
 
     Raises NumericalError if LAPACK reports that the SVD did not converge.
     """
-    a = as_matrix(m)
-    try:
-        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"LAPACK SVD failed: {exc}") from exc
+    u, sigma, vt = _svd(as_matrix(m))
     peak = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
     sign = np.where(peak < 0.0, -1.0, 1.0)
     return SvdFactors(U=u * sign, singular_values=sigma, V=vt.T * sign)

@@ -59,14 +59,14 @@ class HyperParams:
     orth: OrthConfig = field(default_factory=OrthConfig)
 
     def __post_init__(self) -> None:
-        if not self.eta > 0.0:
-            raise ConfigError("eta must be positive")
+        if not 0.0 < self.eta < math.inf:
+            raise ConfigError("eta must be positive and finite")
         if not 0.0 <= self.mu1 <= self.mu2 < 1.0:
             raise ConfigError("momentum coefficients must satisfy 0 <= mu1 <= mu2 < 1")
         if not self.epsilon > 0.0:
             raise ConfigError("epsilon must be positive")
-        if self.weight_decay < 0.0:
-            raise ConfigError("weight_decay must be nonnegative")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError("weight_decay must be finite and nonnegative")
         if not 0.0 < self.clamp_c <= 1.0:
             raise ConfigError("clamp_c must lie in (0, 1]")
 
@@ -141,7 +141,7 @@ def _check_step_inputs(theta, grad, state_shape) -> tuple[np.ndarray, np.ndarray
         raise DimensionError(f"parameter/gradient shapes differ: {th.shape} vs {g.shape}")
     if state_shape is not None and th.shape != state_shape:
         raise DimensionError(f"parameter/state shapes differ: {th.shape} vs {state_shape}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise InputError("gradient contains non-finite entries")
     return th, g
 
@@ -196,7 +196,7 @@ def clamp_d(d, c: float) -> np.ndarray:
 
 def _clamp(d: np.ndarray, c: float) -> tuple[float, np.ndarray]:
     """(mean of ``d``, ``d`` clamped around it) for a trusted vector."""
-    d_bar = float(np.sum(d)) / d.size
+    d_bar = float(np.add.reduce(d, axis=None)) / d.size
     return d_bar, np.minimum(np.maximum(d, c * d_bar), d_bar / c)
 
 

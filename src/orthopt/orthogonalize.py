@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .linalg import _norm, as_matrix, frobenius_norm, reduced_svd
+from .linalg import _norm, _svd, as_matrix, frobenius_norm
 
 # De-facto quintic coefficients for momentum orthogonalization: steep slope at
 # zero buys fast escape from tiny singular values at the cost of converging to
@@ -80,10 +80,15 @@ def orthogonalize(m, cfg: OrthConfig = EXACT) -> np.ndarray:
     if norm <= _ZERO_THRESHOLD:
         return np.zeros_like(a)
     if cfg.method is OrthMethod.EXACT:
-        f = reduced_svd(a)
-        smax = float(f.singular_values[0])
-        keep = f.singular_values > _RANK_TOLERANCE * smax
-        return f.U[:, keep] @ f.V[:, keep].T
+        # U V^T is blind to sign flips of matched singular vectors, so gesdd's
+        # factors need no sign rule.  BLAS picks its kernel from the operand
+        # layout; (V U^T)^T rounds bit for bit like reduced_svd's U V^T.
+        u, s, vt = _svd(a)
+        cutoff = _RANK_TOLERANCE * s[0]
+        if s[-1] > cutoff:
+            return (vt.T @ u.T).T
+        keep = s > cutoff
+        return u[:, keep] @ vt[keep]
     return _newton_schulz(a, norm, cfg.ns_iterations, DEFAULT_NS_COEFFICIENTS)
 
 

@@ -6,13 +6,16 @@ gradient hook.  ``loss_and_grad`` is the fused oracle: one residual or forward
 pass gives both values, and ``loss`` and ``grad`` are its two halves.
 ``stochastic_grad`` wraps a problem's gradient in either additive Gaussian
 noise calibrated so the aggregate squared Frobenius deviation is exactly
-sigma^2 / b in expectation, or minibatch subsampling.
+sigma^2 / b in expectation, or minibatch subsampling.  It is one call of the
+oracle that ``harness.run`` builds once per run, which draws additive noise
+per block of steps, each row bitwise the draw of a per-step call.
 All randomness flows through the counter-based ``Rng``, so every draw is a
 pure function of (seed, stream, counter).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -53,7 +56,6 @@ class Problem:
     loss: Callable[[list[np.ndarray]], float]
     grad: Callable[[list[np.ndarray]], list[np.ndarray]]
     theta0: tuple[np.ndarray, ...]
-    lipschitz_hint: Optional[float] = None
     minibatch_grad: Optional[Callable[[list[np.ndarray], np.ndarray], list[np.ndarray]]] = None
     dataset_size: Optional[int] = None
     data: dict = field(default_factory=dict)
@@ -77,8 +79,8 @@ class NoiseModel:
     kind: str = NoiseKind.ADDITIVE_GAUSSIAN
 
     def __post_init__(self) -> None:
-        if self.sigma < 0.0:
-            raise ConfigError("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ConfigError("sigma must be finite and nonnegative")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.kind not in (NoiseKind.ADDITIVE_GAUSSIAN, NoiseKind.MINIBATCH):
@@ -88,12 +90,10 @@ class NoiseModel:
 def make_matrix_least_squares(m: int, n: int, k: int, seed: int) -> Problem:
     """Least squares 0.5 * ||X Theta - Y||_F^2 over Theta in R^{m x n}.
 
-    X is k-by-m with spectral_norm(X^T X) rescaled to a fixed constant
-    (recorded in ``lipschitz_hint``); Y is generated from a planted solution
+    X is k-by-m with spectral_norm(X^T X) rescaled to ``_LSTSQ_LIPSCHITZ``,
+    the gradient's Lipschitz constant; Y is generated from a planted solution
     plus residual noise so the optimum has nonzero loss for k > m.
     """
-    if min(m, n, k) < 1:
-        raise ConfigError("dimensions must be positive")
     rng = Rng(seed, stream=0)
     x = rng.normal_matrix(k, m)
     x *= np.sqrt(_LSTSQ_LIPSCHITZ) / np.sqrt(spectral_norm(x.T @ x))
@@ -103,7 +103,7 @@ def make_matrix_least_squares(m: int, n: int, k: int, seed: int) -> Problem:
 
     def loss_and_grad(params: list[np.ndarray]):
         r = x @ params[0] - y
-        return 0.5 * float(np.sum(r * r)), [x.T @ r]
+        return 0.5 * float(np.add.reduce(r * r, axis=None)), [x.T @ r]
 
     def minibatch_grad(params: list[np.ndarray], indices: np.ndarray) -> list[np.ndarray]:
         xs = x[indices]
@@ -117,7 +117,6 @@ def make_matrix_least_squares(m: int, n: int, k: int, seed: int) -> Problem:
         grad=lambda p: loss_and_grad(p)[1],
         loss_and_grad=loss_and_grad,
         theta0=(theta0,),
-        lipschitz_hint=float(spectral_norm(x.T @ x)),
         minibatch_grad=minibatch_grad,
         dataset_size=k,
         data={"X": x, "Y": y},
@@ -128,8 +127,6 @@ def make_matrix_factorization(m: int, r: int, n: int, seed: int) -> Problem:
     """Rank-r factorization 0.5 * ||A B - C||_F^2 with C a planted product."""
     if r > min(m, n):
         raise ConfigError("inner rank must satisfy r <= min(m, n)")
-    if min(m, r, n) < 1:
-        raise ConfigError("dimensions must be positive")
     rng = Rng(seed, stream=0)
     a_star = rng.normal_matrix(m, r)
     b_star = rng.normal_matrix(r, n)
@@ -143,7 +140,7 @@ def make_matrix_factorization(m: int, r: int, n: int, seed: int) -> Problem:
 
     def loss_and_grad(params: list[np.ndarray]):
         res = params[0] @ params[1] - c
-        return 0.5 * float(np.sum(res * res)), [res @ params[1].T, params[0].T @ res]
+        return 0.5 * float(np.add.reduce(res * res, axis=None)), [res @ params[1].T, params[0].T @ res]
 
     return Problem(
         name="matrix_factorization",
@@ -191,10 +188,10 @@ def make_mlp_problem(layer_dims, dataset_size: int, seed: int) -> Problem:
         grads: list[np.ndarray] = [np.zeros(0)] * (2 * n_layers)
         for l in range(n_layers - 1, -1, -1):
             grads[2 * l] = acts[l].T @ delta
-            grads[2 * l + 1] = np.sum(delta, axis=0)
+            grads[2 * l + 1] = np.add.reduce(delta, axis=0)
             if l > 0:
                 delta = (delta @ params[2 * l].T) * (1.0 - acts[l] ** 2)
-        return 0.5 * float(np.sum(err**2)) / xs.shape[0], grads
+        return 0.5 * float(np.add.reduce(err**2, axis=None)) / xs.shape[0], grads
 
     def loss_and_grad(params: list[np.ndarray]):
         return loss_and_grad_on(params, x_data, y_data)
@@ -240,26 +237,46 @@ def stochastic_grad(
     ``det_grads``, if given, is ``problem.grad(params)`` already evaluated.
     """
     _check_params(problem, params)
+    return _gradient_oracle(problem, noise, rng, 1)(params, det_grads)
+
+
+# Additive noise is drawn for about this many entries (at least one step's
+# worth) per call, so a small problem's run draws once, not once per step.
+_NOISE_BLOCK_ENTRIES = 2**16
+
+
+def _gradient_oracle(problem: Problem, noise: NoiseModel, rng: Rng, steps: int):
+    """``stochastic_grad`` for ``steps`` calls as ``(params, det_grads) -> grads``,
+    noise checked once; additive noise comes ``min(steps left, max(1,
+    _NOISE_BLOCK_ENTRIES // P))`` rows of ``Rng.normal_rows`` at a time."""
+
+    def exact(params, det_grads):
+        return problem.grad(params) if det_grads is None else det_grads
+
     if noise.kind == NoiseKind.ADDITIVE_GAUSSIAN:
-        grads = problem.grad(params) if det_grads is None else det_grads
         if noise.sigma == 0.0:
-            return grads
-        total = sum(g.size for g in grads)
+            return exact
+        sizes = [math.prod(shape) for shape in problem.params_spec]
+        total = sum(sizes)
         std = noise.sigma / np.sqrt(noise.batch_size * total)
-        z = rng.normals(total)
-        out = []
-        offset = 0
-        for g in grads:
-            out.append(g + std * z[offset : offset + g.size].reshape(g.shape))
-            offset += g.size
-        return out
+
+        def noise_rows():  # per call, the scaled noise of each parameter
+            left = steps
+            while True:
+                rows = max(1, min(left, _NOISE_BLOCK_ENTRIES // total))
+                left -= rows
+                z = np.split(std * rng.normal_rows(rows, total), np.cumsum(sizes[:-1]), axis=1)
+                yield from zip(*(e.reshape(rows, *s) for e, s in zip(z, problem.params_spec)))
+
+        draws = noise_rows()
+        return lambda params, det_grads: [g + e for g, e in zip(exact(params, det_grads), next(draws))]
     if problem.minibatch_grad is None or problem.dataset_size is None:
         raise ConfigError(f"problem {problem.name!r} does not support minibatch noise")
     b = min(noise.batch_size, problem.dataset_size)
     if b == problem.dataset_size:
-        return problem.grad(params) if det_grads is None else det_grads
-    indices = rng.sample_without_replacement(problem.dataset_size, b)
-    return problem.minibatch_grad(params, indices)
+        return exact
+    sample = rng.sample_without_replacement
+    return lambda params, det_grads: problem.minibatch_grad(params, sample(problem.dataset_size, b))
 
 
 def finite_difference_grad(problem: Problem, params: list[np.ndarray], h: float) -> list[np.ndarray]:

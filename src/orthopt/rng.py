@@ -6,7 +6,8 @@ a key derived from ``(seed, stream)`` plus ``i`` increments of the golden
 gamma.  There is no hidden state beyond the counter, so sequences can be
 split, replayed, and consumed concurrently without contention, and the raw
 integer stream is identical on every platform.  The float transforms
-(uniforms, Box-Muller normals) are deterministic for a given libm build.
+(uniforms, Box-Muller normals) are deterministic for a given libm build;
+``normal_rows`` draws the normals of many consecutive calls at once.
 """
 
 from __future__ import annotations
@@ -87,34 +88,30 @@ class Rng:
     def normals(self, n: int) -> np.ndarray:
         """Draw ``n`` standard normals via Box-Muller on ``2 ceil(n/2)`` uniforms
         (first half radii, second half angles)."""
+        return self.normal_rows(1, n)[0]
+
+    def normal_rows(self, rows: int, n: int) -> np.ndarray:
+        """Draw ``(rows, n)`` normals in one call: row i is bitwise the i-th of
+        ``rows`` consecutive ``normals(n)`` calls, and the counter ends where
+        theirs would."""
         m = (n + 1) // 2
-        u = self.uniforms(2 * m)
-        r = np.sqrt(-2.0 * np.log(u[:m]))
-        theta = (2.0 * np.pi) * u[m:]
-        return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        u = self.uniforms(rows * 2 * m).reshape(rows, 2 * m)
+        r = np.sqrt(-2.0 * np.log(u[:, :m]))
+        theta = (2.0 * np.pi) * u[:, m:]
+        return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=1)[:, :n]
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.normals(rows * cols).reshape(rows, cols)
-
-    def integers(self, n: int, low: int, high: int) -> np.ndarray:
-        """Draw ``n`` integers uniform on [low, high).
-
-        Uses modulo reduction; the bias is below 2**-40 for ranges under
-        2**24, which is far beyond anything this package samples.
-        """
-        if high <= low:
-            raise InputError("integers() needs high > low")
-        span = np.uint64(high - low)
-        return (low + (self.raw64(n) % span).astype(np.int64)).astype(np.int64)
 
     def sample_without_replacement(self, n_items: int, k: int) -> np.ndarray:
         """Draw ``k`` distinct indices from range(n_items), partial Fisher-Yates."""
         if not 0 <= k <= n_items:
             raise InputError("sample size must lie in [0, n_items]")
         pool = np.arange(n_items, dtype=np.int64)
-        draws = self.raw64(k)
-        for i in range(k):
-            j = i + int(draws[i] % np.uint64(n_items - i))
+        # Swap i takes j = i + draw_i mod (n_items - i); all offsets at once.
+        offsets = self.raw64(k) % (n_items - np.arange(k, dtype=np.uint64))
+        for i, offset in enumerate(offsets.tolist()):
+            j = i + offset
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
 

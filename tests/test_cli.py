@@ -28,6 +28,22 @@ MALFORMED_CONFIGS = {
     "non_utf8": RUN_INI.encode() + b"; caf\xe9\n",
 }
 
+# values that parse but that no run can use: each is a config error, where it
+# used to exit 1 from the first step (sigma), end diverged after 0 steps
+# (weight_decay, eta) or run a zero-width network to final_loss=0 (dims)
+BAD_VALUE_CONFIGS = {
+    **{f"sigma={v}": {"sigma": v} for v in ("nan", "inf", "1e400")},
+    **{f"weight_decay={v}": {"weight_decay": v} for v in ("nan", "inf", "1e400")},
+    **{f"eta={v}": {"eta": v} for v in ("inf", "1e400")},
+    "mlp_zero_width_input": {"problem": "mlp", "dims": "0,3,2"},
+}
+
+
+def with_values(ini: str, values: dict) -> str:
+    """``ini`` with the given keys set, replacing any existing line for them."""
+    kept = [line for line in ini.splitlines() if line.split(" = ")[0] not in values]
+    return "\n".join(kept + [f"{k} = {v}" for k, v in values.items()]) + "\n"
+
 
 @pytest.fixture
 def run_config(tmp_path):
@@ -73,6 +89,14 @@ class TestRunCommand:
         path.write_bytes(MALFORMED_CONFIGS[name])
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("name", sorted(BAD_VALUE_CONFIGS))
+    def test_unusable_value_is_config_error(self, name, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(with_values(RUN_INI, BAD_VALUE_CONFIGS[name]))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "o" / "run.csv").exists()
 
     @pytest.mark.parametrize("optimizer", ["namo", "namo_d"])
     def test_overflowing_run_exits_ok_with_diverged_status(self, optimizer, tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orthopt import harness
+from orthopt import harness, problems
 from orthopt.errors import ConfigError
 from orthopt.harness import (
     OPTIMIZER_IDS,
@@ -22,6 +22,7 @@ from orthopt.harness import (
     SweepEntry,
     SweepResult,
     batch_adaptation_experiment,
+    build_problem,
     canonical_config_text,
     config_from_mapping,
     default_hyperparams,
@@ -688,6 +689,22 @@ def test_additive_noise_run_evaluates_problem_once_per_step(monkeypatch, problem
     cfg = small_config("namo_d", steps=steps, problem=problem, problem_dims=dims, noise=NoiseModel(sigma=0.5))
     assert run(cfg).status == STATUS_OK
     assert sum(counts.values()) <= steps + 1
+
+
+@pytest.mark.parametrize(
+    "problem,dims",
+    [("matrix_least_squares", (4, 3, 6)), ("matrix_factorization", (6, 2, 5)), ("mlp", (4, 6, 3))],
+)
+def test_run_bytes_do_not_depend_on_noise_block_size(monkeypatch, problem, dims):
+    steps = 130
+    cfg = small_config("namo_d", steps=steps, problem=problem, problem_dims=dims, noise=NoiseModel(sigma=0.5))
+    total = sum(math.prod(shape) for shape in build_problem(problem, dims, 0).params_spec)
+    assert problems._NOISE_BLOCK_ENTRIES // total >= steps  # the default draws one block
+    want = render_csv(run(cfg))
+    # one row per block (a draw per step), then blocks of 50 rows: 50, 50, 30
+    for entries in (1, 50 * total):
+        monkeypatch.setattr(problems, "_NOISE_BLOCK_ENTRIES", entries)
+        assert render_csv(run(cfg)) == want
 
 
 _PROPERTY_DIMS = {

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from orthopt.errors import ConfigError
-from orthopt.linalg import frobenius_norm, inner_product, nuclear_norm
+from orthopt.linalg import frobenius_norm, inner_product, nuclear_norm, reduced_svd
 from orthopt.orthogonalize import (
     DEFAULT_NS_COEFFICIENTS,
     EXACT,
     NEWTON_SCHULZ,
     OrthConfig,
     OrthMethod,
+    _RANK_TOLERANCE,
     _newton_schulz,
     orthogonality_defect,
     orthogonalize,
@@ -107,6 +108,24 @@ class TestExactMode:
         ot = orthogonalize(m.T, EXACT)
         np.testing.assert_allclose(o.T, ot, atol=1e-10)
         assert orthogonality_defect(o) <= 1e-9
+
+    @pytest.mark.parametrize("rank", [None, 1, 3])
+    def test_bitwise_polar_factor_of_reduced_svd(self, rank):
+        # EXACT skips the sign rule and the index copies of reduced_svd's
+        # factors; its bits must still equal U[:, keep] @ V[:, keep]^T
+        gen = Rng(31 if rank is None else 31 + rank)
+        dims = (1, 2, 5, 6, 8, 13, 16, 26, 33, 51, 64)
+        dropped = 0
+        for rows in dims:
+            for cols in dims:
+                m = gen.normal_matrix(rows, cols)
+                if rank is not None and rank < min(rows, cols):
+                    m = gen.normal_matrix(rows, rank) @ gen.normal_matrix(rank, cols)
+                f = reduced_svd(m)
+                keep = f.singular_values > _RANK_TOLERANCE * f.singular_values[0]
+                dropped += not keep.all()
+                np.testing.assert_array_equal(orthogonalize(m, EXACT), f.U[:, keep] @ f.V[:, keep].T)
+        assert dropped >= (0 if rank is None else 50)
 
 
 class TestNewtonSchulzMode:

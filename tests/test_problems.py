@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from orthopt.errors import ConfigError, DimensionError, InputError
+from orthopt.linalg import spectral_norm
 from orthopt.problems import (
+    _LSTSQ_LIPSCHITZ,
     NoiseKind,
     NoiseModel,
     Problem,
@@ -29,7 +31,9 @@ class TestMatrixLeastSquares:
 
     def test_shapes_and_hint(self):
         assert self.problem.params_spec == ((5, 4),)
-        assert 1.0 <= self.problem.lipschitz_hint <= 100.0
+        # X is scaled so that the gradient's Lipschitz constant is the fixed hint
+        x = self.problem.data["X"]
+        assert spectral_norm(x.T @ x) == pytest.approx(_LSTSQ_LIPSCHITZ, rel=1e-12)
 
     def test_gradient_vanishes_at_pseudoinverse_solution(self):
         x, y = self.problem.data["X"], self.problem.data["Y"]

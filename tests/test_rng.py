@@ -73,6 +73,16 @@ class TestDeterminism:
         np.testing.assert_array_equal(gen.normals(n), want)
         assert gen.counter == 2**40 + 2 * m
 
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    @pytest.mark.parametrize("n", [1, 7, 48, 49, 5700])
+    def test_normal_rows_are_consecutive_normals(self, n, rows):
+        gen, ref = Rng(6, stream=2, counter=2**40), Rng(6, stream=2, counter=2**40)
+        block = gen.normal_rows(rows, n)
+        assert block.shape == (rows, n)
+        for i in range(rows):
+            np.testing.assert_array_equal(block[i], ref.normals(n))
+        assert gen.counter == ref.counter
+
 
 class TestDistributions:
     def test_uniforms_in_half_open_unit_interval(self):
@@ -98,15 +108,6 @@ class TestDistributions:
 
 
 class TestIntegersAndSampling:
-    def test_integers_bounds(self):
-        vals = Rng(13).integers(10_000, 3, 17)
-        assert vals.min() >= 3 and vals.max() < 17
-        assert set(np.unique(vals)) == set(range(3, 17))
-
-    def test_integers_validation(self):
-        with pytest.raises(InputError):
-            Rng(0).integers(5, 4, 4)
-
     def test_sample_without_replacement(self):
         idx = Rng(17).sample_without_replacement(20, 8)
         assert len(idx) == 8
@@ -116,6 +117,22 @@ class TestIntegersAndSampling:
     def test_sample_full_population_is_permutation(self):
         idx = Rng(19).sample_without_replacement(10, 10)
         assert sorted(idx.tolist()) == list(range(10))
+
+    @pytest.mark.parametrize("counter", [0, 2**40, 2**64 - 3])
+    @pytest.mark.parametrize("n_items,k", [(256, 32), (10, 10), (20, 8), (1, 1), (5, 0)])
+    def test_sample_matches_scalar_fisher_yates(self, n_items, k, counter):
+        # reference: one numpy-scalar offset per swap, as the loop was written
+        ref = Rng(21, stream=5, counter=counter)
+        pool = np.arange(n_items, dtype=np.int64)
+        draws = ref.raw64(k)
+        for i in range(k):
+            j = i + int(draws[i] % np.uint64(n_items - i))
+            pool[i], pool[j] = pool[j], pool[i]
+        gen = Rng(21, stream=5, counter=counter)
+        got = gen.sample_without_replacement(n_items, k)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, pool[:k])
+        assert gen.counter == ref.counter
 
     def test_sample_validation(self):
         with pytest.raises(InputError):
