@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rates.add_argument("--seed", type=int, default=0)
     p_rates.add_argument("--sigma", type=float, default=0.0)
     p_rates.add_argument("--b", type=int, default=1)
-    p_rates.add_argument("--multiplier", type=float, default=1.0)
     p_rates.add_argument("--out", required=True)
 
     p_ver = sub.add_parser("verify-lemmas", help="numerical lemma certification")
@@ -98,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--T", dest="t_steps", type=int, default=512)
     p_batch.add_argument("--dims", type=_int_list, default=None)
     p_batch.add_argument("--problem-seed", type=int, default=0)
-    p_batch.add_argument("--multiplier", type=float, default=1.0)
     p_batch.add_argument("--out", required=True)
 
     return parser
@@ -171,15 +169,14 @@ def _cmd_rates(args) -> int:
         problem_seed=args.problem_seed,
         sigma=args.sigma,
         batch_size=args.b,
-        multiplier=args.multiplier,
     )
     _ensure_outdir(args.out)
     write_csv(result, os.path.join(args.out, "rates.csv"))
     write_csv(
-        ("optimizer,regime,slope", [(result.optimizer, result.regime, result.slope)]),
+        ("optimizer,regime,slope", [(args.optimizer, args.regime, result.slope)]),
         os.path.join(args.out, "rate_summary.csv"),
     )
-    print(f"rates: optimizer={result.optimizer} regime={result.regime} slope={result.slope:.4f}")
+    print(f"rates: optimizer={args.optimizer} regime={args.regime} slope={result.slope:.4f}")
     return EXIT_OK
 
 
@@ -213,7 +210,6 @@ def _cmd_batch_adapt(args) -> int:
         b_list=args.b_list,
         seeds=args.seeds,
         problem_seed=args.problem_seed,
-        multiplier=args.multiplier,
     )
     _ensure_outdir(args.out)
     write_csv(result, os.path.join(args.out, "batch_adapt.csv"))

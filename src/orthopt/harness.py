@@ -16,6 +16,7 @@ of steps, and CSV bytes do not depend on the block size.
 For multi-parameter problems the per-step diagnostics columns aggregate over
 matrix-routed parameters: ``alpha`` and ``d_bar`` are means, ``d_min``/
 ``d_max`` are the global extremes of the clamped stepsizes.
+Rate and batch-size experiments run ``theorem_schedule`` with unit constants.
 """
 
 from __future__ import annotations
@@ -108,6 +109,8 @@ class RunConfig:
             raise ConfigError("steps must be >= 1")
         if not 0 <= self.warmup_steps < self.steps:
             raise ConfigError("warmup_steps must satisfy 0 <= warmup_steps < steps")
+        if not effective_eta(self.hyper.eta, 1, self.warmup_steps) > 0.0:
+            raise ConfigError("eta is too small for warmup: eta / warmup_steps rounds to 0")
         if self.log_every < 1:
             raise ConfigError("log_every must be >= 1")
         if self.repeats < 1:
@@ -345,78 +348,59 @@ def run(config: RunConfig) -> RunResult:
     states = [_STATES[name].zero(p.shape) for (name, _), p in zip(plans, theta)]
 
     records: list[RunRecord] = []
+    grad_norm_sum = 0.0
+    steps_completed = 0
     # Divergence is detected explicitly through the gradient norm and the
     # loss, so float overflow along the way is expected rather than an error.
     with np.errstate(over="ignore", invalid="ignore"):
-        status, steps_completed, final_loss, final_avg = _run_loop(
-            config, problem, theta, hp, plans, states, oracle, records
-        )
+        # Gradient at theta_0; afterwards the one at theta_t comes with its loss.
+        full_grads = problem.grad(theta)
+        for t in range(1, config.steps + 1):
+            if not all(np.isfinite(p).all() for p in theta):
+                break
+            grad_norm = _grad_norm(full_grads)
+            if not math.isfinite(grad_norm):
+                break
+            grad_norm_sum += grad_norm
+            avg_grad = grad_norm_sum / t
 
-    if status != STATUS_OK:
-        final_loss = math.nan
-        final_avg = math.nan
+            grads = oracle(theta, full_grads)
+
+            eta_t = effective_eta(hp.eta, t, config.warmup_steps)
+            # replace() re-validates HyperParams, so only warmup steps pay for it.
+            plans_t = plans if eta_t == hp.eta else [(n, replace(p, eta=eta_t)) for n, p in plans]
+            diags: list[StepDiagnostics] = []
+            for i, ((name, hp_t), grad) in enumerate(zip(plans_t, grads)):
+                theta[i], states[i], diag = _STEPS[name](theta[i], grad, states[i], hp_t)
+                diags.append(diag)
+
+            loss, full_grads = problem.loss_and_grad(theta)
+            if not math.isfinite(loss):
+                break
+            steps_completed = t
+            if t % config.log_every == 0 or t == config.steps:
+                alpha, d_bar, d_min, d_max = _aggregate_diagnostics(diags)
+                records.append(
+                    RunRecord(
+                        step=t,
+                        loss=loss,
+                        grad_fro=grad_norm,
+                        avg_grad_fro=avg_grad,
+                        alpha=alpha,
+                        d_bar=d_bar,
+                        d_min=d_min,
+                        d_max=d_max,
+                    )
+                )
+
+    ok = steps_completed == config.steps
     return RunResult(
         records=tuple(records),
-        status=status,
+        status=STATUS_OK if ok else STATUS_DIVERGED,
         steps_completed=steps_completed,
-        final_loss=final_loss,
-        final_avg_grad=final_avg,
+        final_loss=loss if ok else math.nan,
+        final_avg_grad=avg_grad if ok else math.nan,
     )
-
-
-def _run_loop(config, problem, theta, hp, plans, states, oracle, records):
-    grad_norm_sum = 0.0
-    status = STATUS_OK
-    steps_completed = 0
-    final_loss = math.nan
-    final_avg = math.nan
-
-    # Gradient at theta_0; afterwards the one at theta_t comes with its loss.
-    det_grads = problem.grad(theta)
-    for t in range(1, config.steps + 1):
-        if not all(np.isfinite(p).all() for p in theta):
-            status = STATUS_DIVERGED
-            break
-        grad_norm = _grad_norm(det_grads)
-        if not math.isfinite(grad_norm):
-            status = STATUS_DIVERGED
-            break
-        grad_norm_sum += grad_norm
-        avg_grad = grad_norm_sum / t
-
-        grads = oracle(theta, det_grads)
-
-        eta_t = effective_eta(hp.eta, t, config.warmup_steps)
-        # replace() re-validates HyperParams, so only warmup steps pay for it.
-        plans_t = plans if eta_t == hp.eta else [(n, replace(p, eta=eta_t)) for n, p in plans]
-        diags: list[StepDiagnostics] = []
-        for i, ((name, hp_t), grad) in enumerate(zip(plans_t, grads)):
-            theta[i], states[i], diag = _STEPS[name](theta[i], grad, states[i], hp_t)
-            diags.append(diag)
-
-        loss, det_grads = problem.loss_and_grad(theta)
-        if not math.isfinite(loss):
-            status = STATUS_DIVERGED
-            break
-        steps_completed = t
-        final_loss = loss
-        final_avg = avg_grad
-        if t % config.log_every == 0 or t == config.steps:
-            alpha, d_bar, d_min, d_max = _aggregate_diagnostics(diags)
-            records.append(
-                RunRecord(
-                    step=t,
-                    loss=loss,
-                    grad_fro=grad_norm,
-                    avg_grad_fro=avg_grad,
-                    alpha=alpha,
-                    d_bar=d_bar,
-                    d_min=d_min,
-                    d_max=d_max,
-                )
-            )
-
-    return status, steps_completed, final_loss, final_avg
 
 
 # ---------------------------------------------------------------------------
@@ -479,18 +463,18 @@ def lr_sweep(base: RunConfig, etas: Sequence[float], cs: Optional[Sequence[float
     return SweepResult(entries=tuple(entries), best=best, all_diverged=not completed)
 
 
-def theorem_schedule(regime: str, t_steps: int, multiplier: float = 1.0) -> dict:
-    """Hyperparameter schedules with unit constants.
+def theorem_schedule(regime: str, t_steps: int) -> dict:
+    """Hyperparameter schedules of the convergence theorems, with unit constants.
 
     Deterministic regime: eta = T^(-1/2), eps = T^(-1/2), constant moments.
     Stochastic regime: eta = T^(-3/4), 1 - mu1 = 1 - mu2 = T^(-1/2),
-    eps = T^(-1/2).  ``multiplier`` scales eta only.
+    eps = T^(-1/2).
     """
     if t_steps < 1:
         raise ConfigError(f"the horizon T must be >= 1, got {t_steps}")
     if regime == "det":
         return {
-            "eta": multiplier * t_steps**-0.5,
+            "eta": t_steps**-0.5,
             "mu1": 0.95,
             "mu2": 0.99,
             "epsilon": t_steps**-0.5,
@@ -498,7 +482,7 @@ def theorem_schedule(regime: str, t_steps: int, multiplier: float = 1.0) -> dict
     if regime == "stoch":
         gap = t_steps**-0.5
         return {
-            "eta": multiplier * t_steps**-0.75,
+            "eta": t_steps**-0.75,
             "mu1": 1.0 - gap,
             "mu2": 1.0 - gap,
             "epsilon": gap,
@@ -510,11 +494,11 @@ def theorem_schedule(regime: str, t_steps: int, multiplier: float = 1.0) -> dict
 _THEOREM_CLAMP_C = 0.5
 
 
-def _theorem_config(name, dims, optimizer, regime, t_steps, multiplier, **fields) -> RunConfig:
+def _theorem_config(name, dims, optimizer, regime, t_steps, **fields) -> RunConfig:
     """A run under ``theorem_schedule``: EXACT orthogonalization, no weight decay
     or warmup, only the final step logged; ``fields`` sets noise and seeds."""
     hp = HyperParams(
-        **theorem_schedule(regime, t_steps, multiplier),
+        **theorem_schedule(regime, t_steps),
         weight_decay=0.0,
         clamp_c=_THEOREM_CLAMP_C if optimizer == "namo_d" else 1.0,
         orth=OrthConfig(method=OrthMethod.EXACT),
@@ -526,8 +510,6 @@ def _theorem_config(name, dims, optimizer, regime, t_steps, multiplier, **fields
 
 @dataclass(frozen=True)
 class RateResult:
-    optimizer: str
-    regime: str
     slope: float
     points: tuple[tuple[int, float], ...]
     diverged_t: tuple[int, ...]
@@ -543,7 +525,6 @@ def rate_experiment(
     problem_seed: int = 0,
     sigma: float = 0.0,
     batch_size: int = 1,
-    multiplier: float = 1.0,
 ) -> RateResult:
     """Convergence-rate probe: run each horizon under its theorem schedule
     and fit the log-log slope of the final averaged gradient norm.
@@ -557,12 +538,11 @@ def rate_experiment(
     diverged: list[int] = []
     for t_steps in t_list:
         t_steps = int(t_steps)
-        config = _theorem_config(
-            problem_name, problem_dims, optimizer, regime, t_steps, multiplier,
+        result = run(_theorem_config(
+            problem_name, problem_dims, optimizer, regime, t_steps,
             noise=NoiseModel(sigma=sigma, batch_size=batch_size),
             problem_seed=problem_seed, seed=seed,
-        )
-        result = run(config)
+        ))
         if result.status == STATUS_OK:
             points.append((t_steps, result.final_avg_grad))
         else:
@@ -571,11 +551,8 @@ def rate_experiment(
         raise NumericalError(
             f"only {len(points)} of {len(t_list)} horizons completed; cannot fit a slope"
         )
-    slope = estimate_rate_slope(points)
     return RateResult(
-        optimizer=optimizer,
-        regime=regime,
-        slope=slope,
+        slope=estimate_rate_slope(points),
         points=tuple(points),
         diverged_t=tuple(diverged),
     )
@@ -583,10 +560,6 @@ def rate_experiment(
 
 @dataclass(frozen=True)
 class BatchAdaptResult:
-    optimizer: str
-    sigma: float
-    t_steps: int
-    seeds: tuple[int, ...]
     rows: tuple[tuple[int, float], ...]
 
 
@@ -599,7 +572,6 @@ def batch_adaptation_experiment(
     b_list: Sequence[int],
     seeds: Sequence[int],
     problem_seed: int = 0,
-    multiplier: float = 1.0,
 ) -> BatchAdaptResult:
     """Mean final averaged gradient norm per batch size, stochastic schedule."""
     b_list = [int(b) for b in b_list]
@@ -611,24 +583,17 @@ def batch_adaptation_experiment(
     for b in b_list:
         finals = []
         for s in seeds:
-            config = _theorem_config(
-                problem_name, problem_dims, optimizer, "stoch", t_steps, multiplier,
+            result = run(_theorem_config(
+                problem_name, problem_dims, optimizer, "stoch", t_steps,
                 noise=NoiseModel(sigma=sigma, batch_size=b),
                 problem_seed=problem_seed, seed=int(s),
-            )
-            result = run(config)
+            ))
             if result.status == STATUS_OK:
                 finals.append(result.final_avg_grad)
         if not finals:
             raise NumericalError(f"all runs diverged at batch size {b}")
         rows.append((b, sum(finals) / len(finals)))
-    return BatchAdaptResult(
-        optimizer=optimizer,
-        sigma=float(sigma),
-        t_steps=int(t_steps),
-        seeds=tuple(int(s) for s in seeds),
-        rows=tuple(rows),
-    )
+    return BatchAdaptResult(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

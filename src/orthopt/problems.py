@@ -2,8 +2,9 @@
 
 Each factory returns an immutable ``Problem`` carrying the loss, its analytic
 gradient, a seeded initial iterate, and (where a dataset exists) a minibatch
-gradient hook.  ``loss_and_grad`` is the fused oracle: one residual or forward
-pass gives both values, and ``loss`` and ``grad`` are its two halves.
+gradient hook.  ``loss_and_grad``, which every problem needs, is the fused
+oracle: one residual or forward pass gives both values, and ``loss`` and
+``grad`` are its two halves.  Parameter shapes are read off the initial iterate.
 ``stochastic_grad`` wraps a problem's gradient in either additive Gaussian
 noise calibrated so the aggregate squared Frobenius deviation is exactly
 sigma^2 / b in expectation, or minibatch subsampling.  It is one call of the
@@ -45,21 +46,24 @@ _FACTORIZATION_SPECTRAL = 3.0
 
 @dataclass(frozen=True)
 class Problem:
-    """A differentiable objective over a list of array parameters.
+    """A differentiable objective over array parameters shaped as ``theta0``.
 
-    ``loss_and_grad`` (set by every factory, needed by ``harness.run``) is
-    bitwise equal to ``(loss(p), grad(p))`` from one evaluation.
+    ``loss_and_grad`` (required: ``harness.run`` steps on it) is bitwise equal
+    to ``(loss(p), grad(p))`` from one evaluation; ``params_spec`` is derived.
     """
 
     name: str
-    params_spec: tuple[tuple[int, ...], ...]
     loss: Callable[[list[np.ndarray]], float]
     grad: Callable[[list[np.ndarray]], list[np.ndarray]]
+    loss_and_grad: Callable[[list[np.ndarray]], tuple[float, list[np.ndarray]]]
     theta0: tuple[np.ndarray, ...]
     minibatch_grad: Optional[Callable[[list[np.ndarray], np.ndarray], list[np.ndarray]]] = None
     dataset_size: Optional[int] = None
     data: dict = field(default_factory=dict)
-    loss_and_grad: Optional[Callable[[list[np.ndarray]], tuple[float, list[np.ndarray]]]] = None
+
+    @property
+    def params_spec(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(p.shape for p in self.theta0)
 
     def initial_params(self) -> list[np.ndarray]:
         return [p.copy() for p in self.theta0]
@@ -112,7 +116,6 @@ def make_matrix_least_squares(m: int, n: int, k: int, seed: int) -> Problem:
 
     return Problem(
         name="matrix_least_squares",
-        params_spec=((m, n),),
         loss=lambda p: loss_and_grad(p)[0],
         grad=lambda p: loss_and_grad(p)[1],
         loss_and_grad=loss_and_grad,
@@ -144,7 +147,6 @@ def make_matrix_factorization(m: int, r: int, n: int, seed: int) -> Problem:
 
     return Problem(
         name="matrix_factorization",
-        params_spec=((m, r), (r, n)),
         loss=lambda p: loss_and_grad(p)[0],
         grad=lambda p: loss_and_grad(p)[1],
         loss_and_grad=loss_and_grad,
@@ -201,7 +203,6 @@ def make_mlp_problem(layer_dims, dataset_size: int, seed: int) -> Problem:
 
     return Problem(
         name="mlp",
-        params_spec=tuple(p.shape for p in theta0),
         loss=lambda p: loss_and_grad(p)[0],
         grad=lambda p: loss_and_grad(p)[1],
         loss_and_grad=loss_and_grad,
@@ -224,7 +225,7 @@ def _mlp_forward(params: list[np.ndarray], xs: np.ndarray, n_layers: int) -> lis
 
 
 def stochastic_grad(
-    problem: Problem, params: list[np.ndarray], noise: NoiseModel, rng: Rng, det_grads=None
+    problem: Problem, params: list[np.ndarray], noise: NoiseModel, rng: Rng
 ) -> list[np.ndarray]:
     """Unbiased stochastic gradient under the given noise model.
 
@@ -233,11 +234,9 @@ def stochastic_grad(
     parameters proportionally to their element counts.  Minibatch: gradient
     of the b-sample empirical loss (sampling without replacement, so b equal
     to the dataset size reproduces the deterministic gradient).
-
-    ``det_grads``, if given, is ``problem.grad(params)`` already evaluated.
     """
     _check_params(problem, params)
-    return _gradient_oracle(problem, noise, rng, 1)(params, det_grads)
+    return _gradient_oracle(problem, noise, rng, 1)(params, None)
 
 
 # Additive noise is drawn for about this many entries (at least one step's
@@ -246,12 +245,12 @@ _NOISE_BLOCK_ENTRIES = 2**16
 
 
 def _gradient_oracle(problem: Problem, noise: NoiseModel, rng: Rng, steps: int):
-    """``stochastic_grad`` for ``steps`` calls as ``(params, det_grads) -> grads``,
+    """``stochastic_grad`` for ``steps`` calls as ``(params, full_grads) -> grads``,
     noise checked once; additive noise comes ``min(steps left, max(1,
     _NOISE_BLOCK_ENTRIES // P))`` rows of ``Rng.normal_rows`` at a time."""
 
-    def exact(params, det_grads):
-        return problem.grad(params) if det_grads is None else det_grads
+    def exact(params, full_grads):
+        return problem.grad(params) if full_grads is None else full_grads
 
     if noise.kind == NoiseKind.ADDITIVE_GAUSSIAN:
         if noise.sigma == 0.0:
@@ -269,14 +268,14 @@ def _gradient_oracle(problem: Problem, noise: NoiseModel, rng: Rng, steps: int):
                 yield from zip(*(e.reshape(rows, *s) for e, s in zip(z, problem.params_spec)))
 
         draws = noise_rows()
-        return lambda params, det_grads: [g + e for g, e in zip(exact(params, det_grads), next(draws))]
+        return lambda params, full_grads: [g + e for g, e in zip(exact(params, full_grads), next(draws))]
     if problem.minibatch_grad is None or problem.dataset_size is None:
         raise ConfigError(f"problem {problem.name!r} does not support minibatch noise")
     b = min(noise.batch_size, problem.dataset_size)
     if b == problem.dataset_size:
         return exact
     sample = rng.sample_without_replacement
-    return lambda params, det_grads: problem.minibatch_grad(params, sample(problem.dataset_size, b))
+    return lambda params, full_grads: problem.minibatch_grad(params, sample(problem.dataset_size, b))
 
 
 def finite_difference_grad(problem: Problem, params: list[np.ndarray], h: float) -> list[np.ndarray]:

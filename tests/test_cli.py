@@ -1,9 +1,15 @@
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import orthopt
 from orthopt.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
@@ -37,6 +43,17 @@ BAD_VALUE_CONFIGS = {
     **{f"eta={v}": {"eta": v} for v in ("inf", "1e400")},
     "mlp_zero_width_input": {"problem": "mlp", "dims": "0,3,2"},
 }
+
+
+# eta / warmup_steps (default 2 at 40 steps) rounds to 0 at the first step
+WARMUP_UNDERFLOW_INI = """\
+[run]
+problem = matrix_least_squares
+dims = 4,3,6
+optimizer = namo
+steps = 40
+eta = 5e-324
+"""
 
 
 def with_values(ini: str, values: dict) -> str:
@@ -97,6 +114,13 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "o" / "run.csv").exists()
+
+    def test_warmup_underflow_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(WARMUP_UNDERFLOW_INI)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "warmup" in err
 
     @pytest.mark.parametrize("optimizer", ["namo", "namo_d"])
     def test_overflowing_run_exits_ok_with_diverged_status(self, optimizer, tmp_path, capsys):
@@ -299,3 +323,68 @@ def test_csv_bytes_do_not_depend_on_blas_threads(name, tmp_path):
         )
         outputs.append((out / "run.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# Config-file text for the property test below: valid values per key, kept
+# small (steps, ns_iterations, repeats, dataset_size, dims) so every example
+# is cheap, and texts that no key takes, or that only some keys take.
+VALID_TEXTS = {
+    "problem": ["matrix_least_squares", "matrix_factorization", "mlp"],
+    "dims": ["4,3,6", "3,2,3", "2,3,2", "2,3,3,2"],
+    "problem_seed": ["0", "3"],
+    "dataset_size": ["1", "8"],
+    "optimizer": ["namo", "namo_d", "muon", "adamw"],
+    "eta": ["0.05", "1e-3", "1e8"],
+    "mu1": ["0.9", "0.95"],
+    "mu2": ["0.95", "0.99"],
+    "epsilon": ["1e-8", "0.1"],
+    "weight_decay": ["0.01", "0.5"],
+    "clamp_c": ["0.1", "1"],
+    "orth_method": ["exact", "newton_schulz"],
+    "ns_iterations": ["1", "5"],
+    "steps": ["1", "5", "20"],
+    "warmup_steps": ["0", "1", "3"],
+    "log_every": ["1", "4"],
+    "seed": ["0", "7"],
+    "repeats": ["1", "2"],
+    "sigma": ["0", "0.5", "2"],
+    "batch_size": ["1", "4", "100"],
+    "noise_kind": ["additive_gaussian", "minibatch"],
+}
+ODD_TEXTS = ["0", "-1", "nan", "inf", "-inf", "1e400", "5e-324", "", "abc"]
+RUN_STATUS = re.compile(r"^run\[\d+\] status=(\w+) ", re.M)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    edits=st.lists(
+        st.sampled_from(sorted(VALID_TEXTS)).flatmap(
+            lambda key: st.tuples(
+                st.just(key), st.sampled_from(VALID_TEXTS[key]) | st.sampled_from([None, *ODD_TEXTS])
+            )
+        ),
+        max_size=6,
+    )
+)
+@example(edits=[("eta", "5e-324")])
+def test_every_config_file_is_config_error_or_ok_or_diverged(edits):
+    # edits apply in order to WARMUP_UNDERFLOW_INI without its eta line; None
+    # removes the key, required keys included
+    values = {"problem": "matrix_least_squares", "dims": "4,3,6", "optimizer": "namo", "steps": "40"}
+    for key, text in edits:
+        values.pop(key, None)
+        if text is not None:
+            values[key] = text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("[run]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", path, "--out", os.path.join(tmp, "o")])
+    if code == EXIT_CONFIG:
+        assert err.getvalue().startswith("config error:")
+    else:
+        assert code == EXIT_OK
+        statuses = RUN_STATUS.findall(out.getvalue())
+        assert statuses and set(statuses) <= {"ok", "diverged"}

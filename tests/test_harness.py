@@ -227,6 +227,14 @@ class TestRun:
         with pytest.raises(ConfigError):
             small_config(log_every=0)
 
+    @pytest.mark.parametrize("eta, warmup_steps", [(5e-324, 2), (1e-323, 5)])
+    def test_warmup_step_size_underflow_is_config_error(self, eta, warmup_steps):
+        # eta / warmup_steps rounds to 0, a step size HyperParams rejects
+        assert effective_eta(eta, 1, warmup_steps) == 0.0
+        with pytest.raises(ConfigError, match="warmup"):
+            small_config(hyper=default_hyperparams("namo", eta=eta), warmup_steps=warmup_steps)
+        assert run(small_config(hyper=default_hyperparams("namo", eta=eta))).status == STATUS_OK
+
 
 class TestSweep:
     def test_single_point_grid_matches_run(self):
@@ -293,11 +301,6 @@ class TestTheoremSchedule:
         assert s["eta"] == pytest.approx(1024**-0.75)
         assert s["mu1"] == pytest.approx(1.0 - 1024**-0.5)
         assert s["mu1"] == s["mu2"]
-
-    def test_multiplier_scales_eta_only(self):
-        s = theorem_schedule("det", 256, multiplier=2.0)
-        assert s["eta"] == pytest.approx(2.0 * 256**-0.5)
-        assert s["epsilon"] == pytest.approx(256**-0.5)
 
     def test_unknown_regime(self):
         with pytest.raises(ConfigError):
@@ -493,7 +496,7 @@ class TestConfigFiles:
             (lambda tmp: load_ini(tmp, PERFBENCH_MLP_INI), 7286330072102708396),
             (
                 lambda tmp: harness._theorem_config(
-                    "matrix_least_squares", (8, 6, 12), "namo_d", "stoch", 64, 1.0,
+                    "matrix_least_squares", (8, 6, 12), "namo_d", "stoch", 64,
                     noise=NoiseModel(sigma=1.0, batch_size=16), problem_seed=0, seed=1,
                 ),
                 328985773715451741,
@@ -606,7 +609,7 @@ class TestCsvOutput:
         assert text.splitlines()[1].endswith(",true")
 
     def test_batch_schema(self):
-        result = BatchAdaptResult("namo", 1.0, 100, (1, 2, 3), ((1, 0.5), (16, 0.25)))
+        result = BatchAdaptResult(((1, 0.5), (16, 0.25)))
         text = render_csv(result)
         assert text.splitlines()[0] == "b,mean_final_avg_grad_fro"
 
@@ -721,6 +724,7 @@ _PROPERTY_DIMS = {
     method=st.sampled_from(list(OrthMethod)),
     eta=st.floats(-3.0, 150.0).map(lambda e: 10.0**e),
     minibatch=st.booleans(),
+    warmup_steps=st.sampled_from([0, 1, 5]),
 )
 @example(
     problem="matrix_factorization",
@@ -728,8 +732,9 @@ _PROPERTY_DIMS = {
     method=OrthMethod.EXACT,
     eta=GRAD_NORM_OVERFLOW_ETA,
     minibatch=False,
+    warmup_steps=0,
 )
-def test_every_run_ends_ok_or_diverged(problem, optimizer, method, eta, minibatch):
+def test_every_run_ends_ok_or_diverged(problem, optimizer, method, eta, minibatch, warmup_steps):
     # matrix_factorization has no dataset, so it only takes additive noise
     if minibatch and problem != "matrix_factorization":
         noise = NoiseModel(sigma=0.5, batch_size=4, kind=NoiseKind.MINIBATCH)
@@ -743,5 +748,6 @@ def test_every_run_ends_ok_or_diverged(problem, optimizer, method, eta, minibatc
         seed=0,
         hyper=default_hyperparams(optimizer, eta=eta, orth=OrthConfig(method=method)),
         noise=noise,
+        warmup_steps=warmup_steps,
     )
     assert run(cfg).status in (STATUS_OK, STATUS_DIVERGED)

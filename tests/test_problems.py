@@ -220,9 +220,9 @@ class TestFiniteDifference:
     def test_quadratic_is_exact_for_any_h(self):
         problem = Problem(
             name="half_square",
-            params_spec=((1, 1),),
             loss=lambda p: 0.5 * float(p[0][0, 0]) ** 2,
             grad=lambda p: [p[0].copy()],
+            loss_and_grad=lambda p: (0.5 * float(p[0][0, 0]) ** 2, [p[0].copy()]),
             theta0=(np.array([[1.7]]),),
         )
         for h in (1e-1, 1e-3, 1e-6):
