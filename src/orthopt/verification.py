@@ -3,7 +3,9 @@
 Each ``check_*`` routine evaluates both sides of one inequality on randomized
 or grid inputs and reports the worst signed violation (positive means the
 inequality failed).  The checks are pure functions of their grids and seeds,
-so reports are reproducible.
+so reports are reproducible.  A NaN violation is the worst case: the first
+one becomes the report's ``max_violation`` and fails the check.  The array
+forms of the SNR, PHI_EPS and series checks give the bits of their scalar loops.
 
 Checked statements:
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .linalg import inner_product, nuclear_norm
 from .orthogonalize import EXACT, orthogonalize
 from .rng import Rng
@@ -67,15 +69,22 @@ def _report(lemma_id: str, trials: int, max_violation: float, worst) -> LemmaRep
     )
 
 
+def _worse(violation: float, worst_violation: float) -> bool:
+    """Whether ``violation`` replaces the worst so far: it is larger, or the first NaN."""
+    return not (violation <= worst_violation or math.isnan(worst_violation))
+
+
 def snr_ratio(g_stream: np.ndarray, mu1: float, mu2: float) -> float:
     """||m_hat_t|| / sqrt(v_hat_t) for the stream of vectors g_1..g_t, eps = 0."""
     t = g_stream.shape[0]
     m = np.zeros(g_stream.shape[1])
     v = 0.0
-    for tau in range(t):
-        g = g_stream[tau]
-        m = mu1 * m + (1.0 - mu1) * g
-        v = mu2 * v + (1.0 - mu2) * float(np.dot(g, g))
+    # Every row's g.g in one stacked (1, d) @ (d, 1) matmul: per-row np.dot bits on a C-ordered stream.
+    squares = np.matmul(g_stream[:, None, :], g_stream[:, :, None]).ravel().tolist()
+    for scaled_g, g_sq in zip((1.0 - mu1) * g_stream, squares):
+        m *= mu1
+        m += scaled_g
+        v = mu2 * v + (1.0 - mu2) * g_sq
     m_hat = m / (1.0 - mu1**t)
     v_hat = v / (1.0 - mu2**t)
     if v_hat == 0.0:
@@ -95,9 +104,10 @@ def check_snr_bound(
     ``bound_scale`` is a self-test hook: values below 1 shrink the asserted
     bound so the check must fail, exercising the failure path end to end.
     """
+    if trials < 1 or not math.isfinite(bound_scale):
+        raise ConfigError(f"trials must be >= 1 and bound_scale finite, got {trials=}, {bound_scale=}")
     rng = rng if rng is not None else Rng(0)
-    worst_violation = -math.inf
-    worst = None
+    worst = (-math.inf, None)  # (violation, inputs)
     for trial in range(trials):
         r = rng.substream(trial)
         if trial < len(SNR_MU_GRID) or trial % 4 == 0:
@@ -115,10 +125,9 @@ def check_snr_bound(
             g[:] = g[0]  # constant stream: the tight case when mu1 == mu2
         bound = math.sqrt((1.0 - mu1) / (1.0 - mu2)) * bound_scale
         violation = snr_ratio(g, mu1, mu2) - bound
-        if violation > worst_violation:
-            worst_violation = violation
-            worst = {"trial": trial, "mu1": mu1, "mu2": mu2, "dim": d, "t": t}
-    return _report("SNR", trials, worst_violation, worst)
+        if _worse(violation, worst[0]):
+            worst = (violation, {"trial": trial, "mu1": mu1, "mu2": mu2, "dim": d, "t": t})
+    return _report("SNR", trials, *worst)
 
 
 def snr_tightness_gap(mu: float = 0.9, t: int = 50, dim: int = 8) -> float:
@@ -137,32 +146,48 @@ def check_phi_eps(x_grid=None, eps_grid=None) -> LemmaReport:
         x_grid = np.concatenate([[0.0], np.logspace(-12, 6, 55)])
     if eps_grid is None:
         eps_grid = np.logspace(-12, 3, 46)
-    worst_violation = -math.inf
-    worst = None
-    trials = 0
-    for eps in eps_grid:
-        for x in x_grid:
-            trials += 1
-            phi = x * x / (x + eps)
-            violation = x - (phi + math.sqrt(eps * phi))
-            if violation > worst_violation:
-                worst_violation = violation
-                worst = {"x": float(x), "eps": float(eps)}
-    return _report("PHI_EPS", trials, worst_violation, worst)
+    x, eps = np.asarray(x_grid, dtype=float), np.asarray(eps_grid, dtype=float)[:, np.newaxis]
+    if x.size == 0 or eps.size == 0:
+        raise ConfigError("phi_eps grids must not be empty")
+    phi = x * x / (x + eps)  # row i is eps_grid[i], as in a loop over eps then x
+    radicand = eps * phi
+    if np.any(radicand < 0.0):
+        raise InputError("eps * phi_eps(x) < 0 on the grid: its square root is undefined")
+    violation = x - (phi + np.sqrt(radicand))
+    row, col = np.unravel_index(np.argmax(violation), violation.shape)  # first maximum, or first NaN
+    worst = {"x": float(x[col]), "eps": float(eps[row, 0])} if violation[row, col] != -math.inf else None
+    return _report("PHI_EPS", violation.size, violation[row, col], worst)
+
+
+# The two series as (direct sum, closed-form bound) for each T of an ascending grid: the
+# terms up to the largest T are built once, with Python's libm pow (np.power does not match
+# it), and each sum is an fsum prefix.  For 0 < mu < 1, mu^t < e^-37.5 < 2^-54 once
+# t > 37.5 / -ln(mu), so with a pow within an ulp (glibc's) 1 - mu^t and the term are
+# exactly 1.0 from there on: _built stops there, and those terms are counted instead.
+def _built(mu: float, t_max: int) -> int:
+    return min(t_max, int(37.5 / -math.log(mu))) if 0.0 < mu < 1.0 else t_max
+
+
+def _mut_sides(mu: float, t_grid) -> list[tuple[float, float]]:
+    terms = [1.0 / (1.0 - mu**t) for t in range(1, _built(mu, t_grid[-1]) + 1)]
+    return [(math.fsum([*terms[:n], max(0, n - len(terms))]),
+             n + mu / (1.0 - mu) - math.log((1.0 - mu**n) / (1.0 - mu)) / math.log(mu)) for n in t_grid]
+
+
+def _mutsqrt_sides(mu: float, t_grid) -> list[tuple[float, float]]:
+    terms = [1.0 / math.sqrt(1.0 - mu**t) for t in range(1, _built(mu, t_grid[-1]) + 1)]
+    return [(math.fsum([*terms[:n], max(0, n - len(terms))]),
+             n - 2.0 * math.log(1.0 + math.sqrt(1.0 - mu**n)) / math.log(mu)) for n in t_grid]
 
 
 def series_mut_sides(mu: float, t_steps: int) -> tuple[float, float]:
     """Direct sum and closed-form bound for sum 1/(1-mu^t)."""
-    lhs = math.fsum(1.0 / (1.0 - mu**t) for t in range(1, t_steps + 1))
-    rhs = t_steps + mu / (1.0 - mu) - math.log((1.0 - mu**t_steps) / (1.0 - mu)) / math.log(mu)
-    return lhs, rhs
+    return _mut_sides(mu, (t_steps,))[0]
 
 
 def series_mutsqrt_sides(mu: float, t_steps: int) -> tuple[float, float]:
     """Direct sum and closed-form bound for sum 1/sqrt(1-mu^t)."""
-    lhs = math.fsum(1.0 / math.sqrt(1.0 - mu**t) for t in range(1, t_steps + 1))
-    rhs = t_steps - 2.0 * math.log(1.0 + math.sqrt(1.0 - mu**t_steps)) / math.log(mu)
-    return lhs, rhs
+    return _mutsqrt_sides(mu, (t_steps,))[0]
 
 
 _SERIES_MU_GRID = (0.5, 0.9, 0.99, 0.999)
@@ -170,36 +195,32 @@ _SERIES_T_GRID = (1, 10, 100, 1000, 10000)
 
 
 def check_series_mut() -> LemmaReport:
-    return _check_series("SERIES_MUT", series_mut_sides)
+    return _check_series("SERIES_MUT", _mut_sides)
 
 
 def check_series_mutsqrt() -> LemmaReport:
-    return _check_series("SERIES_MUTSQRT", series_mutsqrt_sides)
+    return _check_series("SERIES_MUTSQRT", _mutsqrt_sides)
 
 
 def _check_series(lemma_id: str, sides) -> LemmaReport:
-    worst_violation = -math.inf
-    worst = None
-    trials = 0
+    worst = (-math.inf, None)  # (violation, inputs)
     for mu in _SERIES_MU_GRID:
-        for t_steps in _SERIES_T_GRID:
-            trials += 1
-            lhs, rhs = sides(mu, t_steps)
+        for t_steps, (lhs, rhs) in zip(_SERIES_T_GRID, sides(mu, _SERIES_T_GRID)):
             # Relative scaling keeps the check meaningful when both sides are
             # large (the T = 1 case is an exact equality up to roundoff).
             violation = (lhs - rhs) / max(1.0, abs(rhs))
-            if violation > worst_violation:
-                worst_violation = violation
-                worst = {"mu": float(mu), "T": int(t_steps)}
-    return _report(lemma_id, trials, worst_violation, worst)
+            if _worse(violation, worst[0]):
+                worst = (violation, {"mu": float(mu), "T": int(t_steps)})
+    return _report(lemma_id, len(_SERIES_MU_GRID) * len(_SERIES_T_GRID), *worst)
 
 
 def check_trace_inequality(trials: int = 1000, dims_max=(16, 12), rng: Rng | None = None) -> LemmaReport:
     """Random check of <M, Orth(M) D> >= min(D) * ||M||_*."""
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials=}")
     rng = rng if rng is not None else Rng(0)
     m_max, n_max = dims_max
-    worst_violation = -math.inf
-    worst = None
+    worst = (-math.inf, None)  # (violation, inputs)
     for trial in range(trials):
         r = rng.substream(trial)
         u = r.uniforms(2)
@@ -218,10 +239,9 @@ def check_trace_inequality(trials: int = 1000, dims_max=(16, 12), rng: Rng | Non
         lhs = inner_product(mat, o * d[np.newaxis, :])
         rhs = float(np.min(d)) * nuclear_norm(mat)
         violation = rhs - lhs
-        if violation > worst_violation:
-            worst_violation = violation
-            worst = {"trial": trial, "rows": m_rows, "cols": n_cols, "d_min": float(np.min(d))}
-    return _report("TRACE_OD", trials, worst_violation, worst)
+        if _worse(violation, worst[0]):
+            worst = (violation, {"trial": trial, "rows": m_rows, "cols": n_cols, "d_min": float(np.min(d))})
+    return _report("TRACE_OD", trials, *worst)
 
 
 def estimate_rate_slope(records) -> float:

@@ -229,15 +229,41 @@ class TestVerifyLemmasCommand:
         assert "SNR tightness witness" in capsys.readouterr().out
 
     def test_perturbed_bound_exits_2(self, tmp_path):
-        code = main(
-            [
-                "verify-lemmas",
-                "--trials", "40",
-                "--snr-bound-scale", "0.5",
-                "--out", str(tmp_path / "out"),
-            ]
-        )
+        for scale in ("0.5", "0"):  # a finite scale below 1, 0 included, forces a failure
+            code = main(
+                [
+                    "verify-lemmas",
+                    "--trials", "40",
+                    "--snr-bound-scale", scale,
+                    "--out", str(tmp_path / "out"),
+                ]
+            )
+            assert code == EXIT_CHECK_FAILED
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--trials", "0"],
+            ["--trials", "-1"],
+            ["--trials", "1", "--snr-bound-scale", "nan"],
+            ["--trials", "1", "--snr-bound-scale", "inf"],
+            ["--trials", "1", "--snr-bound-scale=-inf"],
+        ],
+    )
+    def test_bad_trials_or_bound_scale_is_config_error(self, flags, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["verify-lemmas", *flags, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: trials must be >= 1 and bound_scale finite")
+        assert not out.exists()
+
+    def test_nan_violation_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(orthopt.verification, "snr_ratio", lambda g, mu1, mu2: float("nan"))
+        out = tmp_path / "out"
+        code = main(["verify-lemmas", "--trials", "4", "--out", str(out)])
         assert code == EXIT_CHECK_FAILED
+        assert (out / "lemmas.csv").read_text().splitlines()[1] == "SNR,4,,false"
+        assert "SNR: trials=4 max_violation=nan FAIL" in capsys.readouterr().out
 
 
 class TestBatchAdaptCommand:
@@ -297,20 +323,28 @@ def test_missing_required_flag_is_config_error():
     assert main(["run", "--out", "/tmp/x"]) == EXIT_CONFIG
 
 
-BLAS_THREAD_CONFIGS = {
+# run configs, or the argv of a verify-lemmas invocation
+BLAS_THREAD_CASES = {
     "mlp": "problem = mlp\ndims = 16,128,128,8\noptimizer = namo_d\n"
     "noise_kind = minibatch\nbatch_size = 16\nsteps = 40\nseed = 5\n",
     "least_squares": "problem = matrix_least_squares\ndims = 8,6,12\noptimizer = namo\n"
     "sigma = 0.5\nsteps = 40\nseed = 5\n",
+    "verify_lemmas": ["verify-lemmas", "--trials", "60", "--seed", "1"],
 }
 
 
-@pytest.mark.parametrize("name", sorted(BLAS_THREAD_CONFIGS))
+@pytest.mark.parametrize("name", sorted(BLAS_THREAD_CASES))
 def test_csv_bytes_do_not_depend_on_blas_threads(name, tmp_path):
     # The EXACT path runs LAPACK gesdd, whose bits match across BLAS thread
-    # counts for matrices up to 128x128 (the largest here); see README.
-    config = tmp_path / "run.ini"
-    config.write_text("[run]\n" + BLAS_THREAD_CONFIGS[name])
+    # counts for matrices up to 128x128 (the largest here); see README.  The
+    # SNR check of verify-lemmas takes every g.g from one stacked matmul.
+    case = BLAS_THREAD_CASES[name]
+    if isinstance(case, list):
+        argv, csv_name = case, "lemmas.csv"
+    else:
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\n" + case)
+        argv, csv_name = ["run", "--config", str(config)], "run.csv"
     src = str(Path(orthopt.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
@@ -318,10 +352,10 @@ def test_csv_bytes_do_not_depend_on_blas_threads(name, tmp_path):
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / f"threads{threads}"
         subprocess.run(
-            [sys.executable, "-m", "orthopt.cli", "run", "--config", str(config), "--out", str(out)],
+            [sys.executable, "-m", "orthopt.cli", *argv, "--out", str(out)],
             env=env, check=True, capture_output=True, timeout=120,
         )
-        outputs.append((out / "run.csv").read_bytes())
+        outputs.append((out / csv_name).read_bytes())
     assert outputs[0] == outputs[1]
 
 

@@ -1,15 +1,18 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthopt.errors import InputError
+from orthopt import verification
+from orthopt.errors import ConfigError, InputError
 from orthopt.rng import Rng
 from orthopt.verification import (
     LEMMA_TOLERANCES,
+    SNR_MU_GRID,
     check_phi_eps,
     check_series_mut,
     check_series_mutsqrt,
@@ -179,3 +182,251 @@ class TestRateSlope:
             estimate_rate_slope([(10, 1.0), (20, 0.0), (40, 1.0)])
         with pytest.raises(InputError):
             estimate_rate_slope([(10, 1.0), (-20, 1.0), (40, 1.0)])
+
+
+# Scalar references: each check written one stream step, grid cell or series
+# term at a time, with the NaN rule (the first NaN violation is the worst)
+# spelled out.  The array forms must match them bit for bit, so the bytes of
+# lemmas.csv do not depend on which form runs.
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", float(value))
+
+
+def _report_bits(report):
+    return report.lemma_id, report.trials, _bits(report.max_violation), report.worst_case_inputs
+
+
+def _replaces(violation, worst_violation) -> bool:
+    if math.isnan(worst_violation):
+        return False
+    return math.isnan(violation) or violation > worst_violation
+
+
+def scalar_snr_ratio(g_stream, mu1, mu2):
+    t = g_stream.shape[0]
+    m = np.zeros(g_stream.shape[1])
+    v = 0.0
+    for tau in range(t):
+        g = g_stream[tau]
+        m = mu1 * m + (1.0 - mu1) * g
+        v = mu2 * v + (1.0 - mu2) * float(np.dot(g, g))
+    m_hat = m / (1.0 - mu1**t)
+    v_hat = v / (1.0 - mu2**t)
+    if v_hat == 0.0:
+        return 0.0
+    return float(np.sqrt(np.dot(m_hat, m_hat))) / math.sqrt(v_hat)
+
+
+def scalar_phi_eps(x_grid, eps_grid):
+    worst_violation, worst, trials = -math.inf, None, 0
+    for eps in eps_grid:
+        for x in x_grid:
+            trials += 1
+            phi = x * x / (x + eps)
+            violation = x - (phi + math.sqrt(eps * phi))
+            if _replaces(violation, worst_violation):
+                worst_violation = violation
+                worst = {"x": float(x), "eps": float(eps)}
+    return "PHI_EPS", trials, _bits(worst_violation), json.dumps(worst, sort_keys=True)
+
+
+def scalar_series_mut_sides(mu, t_steps):
+    lhs = math.fsum(1.0 / (1.0 - mu**t) for t in range(1, t_steps + 1))
+    rhs = t_steps + mu / (1.0 - mu) - math.log((1.0 - mu**t_steps) / (1.0 - mu)) / math.log(mu)
+    return lhs, rhs
+
+
+def scalar_series_mutsqrt_sides(mu, t_steps):
+    lhs = math.fsum(1.0 / math.sqrt(1.0 - mu**t) for t in range(1, t_steps + 1))
+    rhs = t_steps - 2.0 * math.log(1.0 + math.sqrt(1.0 - mu**t_steps)) / math.log(mu)
+    return lhs, rhs
+
+
+SERIES_MU_GRID = (0.5, 0.9, 0.99, 0.999)
+SERIES_T_GRID = (1, 10, 100, 1000, 10000)
+
+
+def scalar_check_series(lemma_id, sides, mu_grid=SERIES_MU_GRID, t_grid=SERIES_T_GRID):
+    worst_violation, worst, trials = -math.inf, None, 0
+    for mu in mu_grid:
+        for t_steps in t_grid:
+            trials += 1
+            lhs, rhs = sides(mu, t_steps)
+            violation = (lhs - rhs) / max(1.0, abs(rhs))
+            if _replaces(violation, worst_violation):
+                worst_violation = violation
+                worst = {"mu": float(mu), "T": int(t_steps)}
+    return lemma_id, trials, _bits(worst_violation), json.dumps(worst, sort_keys=True)
+
+
+class TestMatchesScalarReferences:
+    def test_stacked_row_dot_matches_per_row_dot(self):
+        # snr_ratio takes every g.g from one stacked matmul; pin it against
+        # per-row np.dot for every stream length t <= 100 and width d <= 64
+        r = Rng(11)
+        base = r.normal_matrix(100, 64) * (10.0 ** (6.0 * r.uniforms(100) - 3.0))[:, np.newaxis]
+        mismatches = []
+        for d in range(1, 65):
+            rows = np.ascontiguousarray(base[:, :d])
+            per_row = [_bits(np.dot(g, g)) for g in rows]
+            for t in range(1, 101):
+                g = rows[:t]
+                stacked = np.matmul(g[:, None, :], g[:, :, None]).ravel()
+                if [_bits(x) for x in stacked] != per_row[:t]:
+                    mismatches.append((t, d))
+        assert mismatches == []
+
+    def test_snr_ratio_matches_scalar_recursion(self):
+        rng = Rng(2024)
+        mismatches = []
+        for k in range(2400):
+            r = rng.substream(k)
+            u = r.uniforms(5)
+            t = 1 + int(u[0] * 100) % 100
+            d = 1 + int(u[1] * 64) % 64
+            scale = 10.0 ** (6.0 * u[2] - 3.0)
+            if k < 3 * len(SNR_MU_GRID):
+                mu1, mu2 = SNR_MU_GRID[k % len(SNR_MU_GRID)]
+            else:
+                mu2 = 0.5 + 0.4999 * u[3]
+                mu1 = mu2 if k % 5 == 0 else mu2 * u[4]
+            g = r.normal_matrix(t, d) * scale
+            if k % 7 == 3:
+                g[:] = g[0]  # constant stream
+            if _bits(snr_ratio(g, mu1, mu2)) != _bits(scalar_snr_ratio(g, mu1, mu2)):
+                mismatches.append(k)
+        assert mismatches == []
+
+    def test_snr_check_matches_scalar_recursion(self, monkeypatch):
+        calls = []
+
+        def recorded(g, mu1, mu2):
+            calls.append((g.copy(), mu1, mu2, snr_ratio(g, mu1, mu2)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(verification, "snr_ratio", recorded)
+        arrays = check_snr_bound(trials=120, rng=Rng(4))
+        assert len(calls) == 120
+        # every trial, not only the worst one the report keeps
+        assert [_bits(ratio) for *_, ratio in calls] == [_bits(scalar_snr_ratio(*call[:3])) for call in calls]
+        monkeypatch.setattr(verification, "snr_ratio", scalar_snr_ratio)
+        assert _report_bits(arrays) == _report_bits(check_snr_bound(trials=120, rng=Rng(4)))
+
+    @pytest.mark.parametrize("mu", [0.5, 0.9, 0.99, 0.999, 0.3141, 0.77, 0.9876, 0.9967, 1e-6, 1e-300])
+    def test_series_sides_match_scalar_sums(self, mu):
+        # T around the first t whose term is exactly 1.0: a little past it the
+        # direct sums stop building terms and count them instead
+        first_one = next((t for t in range(1, 20001) if 1.0 - mu**t == 1.0), 20000)
+        near = {first_one + k for k in (-2, -1, 0, 1, 2, 50)}
+        for t_steps in sorted({1, 2, 3, 10, 37, 100, 1000, 4096, 10000} | {t for t in near if t >= 1}):
+            assert [_bits(v) for v in series_mut_sides(mu, t_steps)] == [
+                _bits(v) for v in scalar_series_mut_sides(mu, t_steps)
+            ], t_steps
+            assert [_bits(v) for v in series_mutsqrt_sides(mu, t_steps)] == [
+                _bits(v) for v in scalar_series_mutsqrt_sides(mu, t_steps)
+            ], t_steps
+
+    def test_series_terms_past_the_built_ones_are_exactly_one(self):
+        # the direct sums count every term after _built(mu, T) as 1.0 instead
+        # of building it; check that claim term by term, since a term of
+        # 1 + 2^-52 vanishes in the rounding of a sum of thousands
+        mus = [0.5, 0.9, 0.99, 0.999, 1e-6, 1e-300, 5e-324, 0.9999]
+        mus += (0.9999 * Rng(31).uniforms(400)).tolist()
+        for mu in mus:
+            built = verification._built(mu, 10**12)
+            assert built < 10**12
+            assert all(1.0 - mu**t == 1.0 for t in range(built + 1, built + 2001)), mu
+
+    @pytest.mark.parametrize(
+        "check, lemma_id, sides",
+        [
+            (check_series_mut, "SERIES_MUT", scalar_series_mut_sides),
+            (check_series_mutsqrt, "SERIES_MUTSQRT", scalar_series_mutsqrt_sides),
+        ],
+    )
+    def test_series_reports_match_scalar_checks(self, check, lemma_id, sides, monkeypatch):
+        assert _report_bits(check()) == scalar_check_series(lemma_id, sides)
+        # each grid cell alone, so every violation is compared, not only the worst
+        for mu in SERIES_MU_GRID:
+            monkeypatch.setattr(verification, "_SERIES_MU_GRID", (mu,))
+            for t_steps in SERIES_T_GRID:
+                monkeypatch.setattr(verification, "_SERIES_T_GRID", (t_steps,))
+                assert _report_bits(check()) == scalar_check_series(lemma_id, sides, (mu,), (t_steps,))
+
+    def test_phi_eps_default_grid_matches_scalar_loop(self):
+        x_grid = np.concatenate([[0.0], np.logspace(-12, 6, 55)])
+        eps_grid = np.logspace(-12, 3, 46)
+        assert _report_bits(check_phi_eps()) == scalar_phi_eps(x_grid, eps_grid)
+
+    @pytest.mark.parametrize(
+        "x_grid, eps_grid",
+        [
+            ([0.0, 1.0, math.inf, 2.0], [1e-3, 1.0]),
+            ([0.5, 3.0], [0.1, -math.inf, math.inf, 2.0]),
+            ([1.0, math.nan, 7.0, math.nan], [0.5, 2.0]),
+            ([1.0, 2.0], [1.0, math.nan]),
+            ([-math.inf, 0.0, 4.0], [0.0, 1e-6]),
+            ([math.inf, -math.inf, math.nan, 0.0], [math.inf, -math.inf, math.nan, 0.0]),
+            ([-1.0], [1.0]),  # phi = inf: the only violation is -inf, so no worst case
+        ],
+    )
+    def test_phi_eps_non_finite_grids_match_scalar_loop(self, x_grid, eps_grid):
+        x_grid, eps_grid = np.array(x_grid), np.array(eps_grid)
+        with np.errstate(all="ignore"):
+            assert _report_bits(check_phi_eps(x_grid, eps_grid)) == scalar_phi_eps(x_grid, eps_grid)
+
+    def test_phi_eps_negative_radicand_raises_like_scalar_loop(self):
+        x_grid, eps_grid = np.array([1.0, -2.0]), np.array([1.0])
+        with pytest.raises(ValueError):
+            scalar_phi_eps(x_grid, eps_grid)
+        with pytest.raises(ValueError):
+            check_phi_eps(x_grid, eps_grid)
+
+
+class TestConfigErrorsAndNan:
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_is_config_error(self, trials):
+        with pytest.raises(ConfigError):
+            check_snr_bound(trials=trials, rng=Rng(0))
+        with pytest.raises(ConfigError):
+            check_trace_inequality(trials=trials, rng=Rng(0))
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bound_scale_is_config_error(self, scale):
+        with pytest.raises(ConfigError):
+            check_snr_bound(trials=5, rng=Rng(0), bound_scale=scale)
+
+    def test_zero_bound_scale_still_forces_failure(self):
+        report = check_snr_bound(trials=5, rng=Rng(0), bound_scale=0.0)
+        assert report.max_violation > 0.0
+        assert not report.passed()
+
+    @pytest.mark.parametrize("x_grid, eps_grid", [([], [1.0]), ([1.0], []), ([], [])])
+    def test_empty_phi_eps_grid_is_config_error(self, x_grid, eps_grid):
+        with pytest.raises(ConfigError):
+            check_phi_eps(x_grid=x_grid, eps_grid=eps_grid)
+
+    def test_phi_eps_zero_over_zero_fails(self):
+        with np.errstate(all="ignore"):
+            report = check_phi_eps(x_grid=[0.0], eps_grid=[0.0])
+        assert math.isnan(report.max_violation)
+        assert json.loads(report.worst_case_inputs) == {"x": 0.0, "eps": 0.0}
+        assert not report.passed()
+
+    def test_first_nan_snr_violation_is_the_worst(self, monkeypatch):
+        ratios = iter([0.5, math.nan, 2.0, math.nan, 9.0])
+        monkeypatch.setattr(verification, "snr_ratio", lambda g, mu1, mu2: next(ratios))
+        report = check_snr_bound(trials=5, rng=Rng(0))
+        assert math.isnan(report.max_violation)
+        assert json.loads(report.worst_case_inputs)["trial"] == 1
+        assert not report.passed()
+
+    def test_first_nan_trace_violation_is_the_worst(self, monkeypatch):
+        norms = iter([1.0, 1.0, math.nan, 1.0, math.nan])
+        monkeypatch.setattr(verification, "nuclear_norm", lambda mat: next(norms))
+        report = check_trace_inequality(trials=5, rng=Rng(0))
+        assert math.isnan(report.max_violation)
+        assert json.loads(report.worst_case_inputs)["trial"] == 2
+        assert not report.passed()
