@@ -58,19 +58,17 @@ from .problems import (
 from .rng import Rng
 from .verification import LemmaReport, estimate_rate_slope
 
-OPTIMIZER_IDS = ("namo", "namo_d", "muon", "adamw")
-
-# Training-recipe defaults: matrix optimizers use (0.95, 0.99), the AdamW
-# baseline and the vector/scalar fallback use (0.9, 0.95); weight decay 0.01
-# everywhere.
-DEFAULT_MOMENTS = {
-    "namo": (0.95, 0.99),
-    "namo_d": (0.95, 0.99),
-    "muon": (0.95, 0.99),
-    "adamw": (0.9, 0.95),
+# Each optimizer's training recipe, as what it changes from the HyperParams
+# defaults: its learning rate, weight decay 0.01 everywhere, (0.9, 0.95)
+# moments for the AdamW baseline and the vector/scalar fallback, and NAMO-D's
+# clamp constant.
+RECIPES = {
+    "namo": dict(eta=0.012, weight_decay=0.01),
+    "namo_d": dict(eta=0.009, weight_decay=0.01, clamp_c=0.1),
+    "muon": dict(eta=0.0013, weight_decay=0.01),
+    "adamw": dict(eta=0.0013, mu1=0.9, mu2=0.95, weight_decay=0.01),
 }
-DEFAULT_WEIGHT_DECAY = 0.01
-DEFAULT_CLAMP_C = {"namo_d": 0.1}
+OPTIMIZER_IDS = tuple(RECIPES)
 
 # Reference sweep grids (per-optimizer learning rates, and clamp constants
 # for the diagonal variant).
@@ -81,7 +79,6 @@ DEFAULT_ETA_GRIDS = {
     "namo_d": (0.005, 0.007, 0.009, 0.012, 0.015),
 }
 DEFAULT_C_GRID = (0.12, 0.40, 0.75, 0.90)
-DEFAULT_ETA = {"adamw": 0.0013, "muon": 0.0013, "namo": 0.012, "namo_d": 0.009}
 
 STATUS_OK = "ok"
 STATUS_DIVERGED = "diverged"
@@ -145,21 +142,11 @@ def default_warmup(steps: int) -> int:
     return max(1, steps // 20)
 
 
-def default_hyperparams(optimizer: str, eta: Optional[float] = None, **overrides) -> HyperParams:
-    """Training-recipe defaults for the given optimizer id."""
-    if optimizer not in OPTIMIZER_IDS:
+def default_hyperparams(optimizer: str, **overrides) -> HyperParams:
+    """The optimizer's training recipe, with ``overrides`` applied."""
+    if optimizer not in RECIPES:
         raise ConfigError(f"unknown optimizer id: {optimizer!r}")
-    mu1, mu2 = DEFAULT_MOMENTS[optimizer]
-    values = dict(
-        eta=DEFAULT_ETA[optimizer] if eta is None else eta,
-        mu1=mu1,
-        mu2=mu2,
-        epsilon=1e-8,
-        weight_decay=DEFAULT_WEIGHT_DECAY,
-        clamp_c=DEFAULT_CLAMP_C.get(optimizer, 1.0),
-    )
-    values.update(overrides)
-    return HyperParams(**values)
+    return HyperParams(**{**RECIPES[optimizer], **overrides})
 
 
 def effective_eta(eta: float, step: int, warmup_steps: int) -> float:
@@ -421,8 +408,7 @@ class SweepEntry:
 @dataclass(frozen=True)
 class SweepResult:
     entries: tuple[SweepEntry, ...]
-    best: Optional[SweepEntry]
-    all_diverged: bool
+    best: Optional[SweepEntry]  # None when every run diverged
 
 
 def lr_sweep(base: RunConfig, etas: Sequence[float], cs: Optional[Sequence[float]] = None) -> SweepResult:
@@ -460,7 +446,7 @@ def lr_sweep(base: RunConfig, etas: Sequence[float], cs: Optional[Sequence[float
         key=lambda e: (e.final_loss, e.eta, e.c if e.c is not None else 0.0),
         default=None,
     )
-    return SweepResult(entries=tuple(entries), best=best, all_diverged=not completed)
+    return SweepResult(entries=tuple(entries), best=best)
 
 
 def theorem_schedule(regime: str, t_steps: int) -> dict:

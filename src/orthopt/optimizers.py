@@ -139,7 +139,7 @@ def _check_step_inputs(theta, grad, state_shape) -> tuple[np.ndarray, np.ndarray
     g = np.asarray(grad, dtype=np.float64)
     if th.shape != g.shape:
         raise DimensionError(f"parameter/gradient shapes differ: {th.shape} vs {g.shape}")
-    if state_shape is not None and th.shape != state_shape:
+    if th.shape != state_shape:
         raise DimensionError(f"parameter/state shapes differ: {th.shape} vs {state_shape}")
     if not np.isfinite(g).all():
         raise InputError("gradient contains non-finite entries")

@@ -65,7 +65,7 @@ EXACT = OrthConfig(method=OrthMethod.EXACT)
 NEWTON_SCHULZ = OrthConfig(method=OrthMethod.NEWTON_SCHULZ)
 
 
-def orthogonalize(m, cfg: OrthConfig = EXACT) -> np.ndarray:
+def orthogonalize(m, cfg: OrthConfig) -> np.ndarray:
     """Orthogonal factor of ``m``, same shape as ``m``.
 
     EXACT mode computes U V^T over the singular triples above the rank

@@ -93,11 +93,7 @@ def snr_ratio(g_stream: np.ndarray, mu1: float, mu2: float) -> float:
 
 
 def check_snr_bound(
-    trials: int = 1000,
-    dims_max: int = 64,
-    t_max: int = 100,
-    rng: Rng | None = None,
-    bound_scale: float = 1.0,
+    trials: int, rng: Rng, dims_max: int = 64, t_max: int = 100, bound_scale: float = 1.0
 ) -> LemmaReport:
     """Random-stream check of the adaptive-scalar bound.
 
@@ -106,7 +102,8 @@ def check_snr_bound(
     """
     if trials < 1 or not math.isfinite(bound_scale):
         raise ConfigError(f"trials must be >= 1 and bound_scale finite, got {trials=}, {bound_scale=}")
-    rng = rng if rng is not None else Rng(0)
+    if dims_max < 1 or t_max < 1:
+        raise ConfigError(f"dims_max and t_max must be >= 1, got {dims_max=}, {t_max=}")
     worst = (-math.inf, None)  # (violation, inputs)
     for trial in range(trials):
         r = rng.substream(trial)
@@ -140,22 +137,14 @@ def snr_tightness_gap(mu: float = 0.9, t: int = 50, dim: int = 8) -> float:
     return abs(snr_ratio(g, mu, mu) - 1.0)
 
 
-def check_phi_eps(x_grid=None, eps_grid=None) -> LemmaReport:
-    """Grid check of x <= phi_eps(x) + sqrt(eps * phi_eps(x))."""
-    if x_grid is None:
-        x_grid = np.concatenate([[0.0], np.logspace(-12, 6, 55)])
-    if eps_grid is None:
-        eps_grid = np.logspace(-12, 3, 46)
-    x, eps = np.asarray(x_grid, dtype=float), np.asarray(eps_grid, dtype=float)[:, np.newaxis]
-    if x.size == 0 or eps.size == 0:
-        raise ConfigError("phi_eps grids must not be empty")
-    phi = x * x / (x + eps)  # row i is eps_grid[i], as in a loop over eps then x
-    radicand = eps * phi
-    if np.any(radicand < 0.0):
-        raise InputError("eps * phi_eps(x) < 0 on the grid: its square root is undefined")
-    violation = x - (phi + np.sqrt(radicand))
+def check_phi_eps() -> LemmaReport:
+    """Grid check of x <= phi_eps(x) + sqrt(eps * phi_eps(x)) on a fixed grid of x >= 0 and eps > 0."""
+    x = np.concatenate([[0.0], np.logspace(-12, 6, 55)])
+    eps = np.logspace(-12, 3, 46)[:, np.newaxis]
+    phi = x * x / (x + eps)  # row i is eps[i], as in a loop over eps then x
+    violation = x - (phi + np.sqrt(eps * phi))
     row, col = np.unravel_index(np.argmax(violation), violation.shape)  # first maximum, or first NaN
-    worst = {"x": float(x[col]), "eps": float(eps[row, 0])} if violation[row, col] != -math.inf else None
+    worst = {"x": float(x[col]), "eps": float(eps[row, 0])}
     return _report("PHI_EPS", violation.size, violation[row, col], worst)
 
 
@@ -214,12 +203,13 @@ def _check_series(lemma_id: str, sides) -> LemmaReport:
     return _report(lemma_id, len(_SERIES_MU_GRID) * len(_SERIES_T_GRID), *worst)
 
 
-def check_trace_inequality(trials: int = 1000, dims_max=(16, 12), rng: Rng | None = None) -> LemmaReport:
+def check_trace_inequality(trials: int, rng: Rng, dims_max=(16, 12)) -> LemmaReport:
     """Random check of <M, Orth(M) D> >= min(D) * ||M||_*."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials=}")
-    rng = rng if rng is not None else Rng(0)
     m_max, n_max = dims_max
+    if m_max < 2 or n_max < 2:
+        raise ConfigError(f"both dims_max entries must be >= 2, got {dims_max=}")
     worst = (-math.inf, None)  # (violation, inputs)
     for trial in range(trials):
         r = rng.substream(trial)
@@ -264,13 +254,13 @@ def estimate_rate_slope(records) -> float:
     return float(np.dot(xc, ys - ys.mean()) / np.dot(xc, xc))
 
 
-def run_all_checks(trials: int = 1000, seed: int = 0, bound_scale: float = 1.0) -> list[LemmaReport]:
+def run_all_checks(trials: int, seed: int, bound_scale: float) -> list[LemmaReport]:
     """All five lemma checks with shared seeding, in a fixed order (``bound_scale`` as in the SNR check)."""
     rng = Rng(seed)
     return [
-        check_snr_bound(trials=trials, rng=rng.substream(1), bound_scale=bound_scale),
+        check_snr_bound(trials, rng.substream(1), bound_scale=bound_scale),
         check_phi_eps(),
         check_series_mut(),
         check_series_mutsqrt(),
-        check_trace_inequality(trials=trials, rng=rng.substream(2)),
+        check_trace_inequality(trials, rng.substream(2)),
     ]

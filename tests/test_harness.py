@@ -265,7 +265,6 @@ class TestSweep:
     def test_all_diverged(self):
         base = small_config(steps=60, hyper=default_hyperparams("namo", eta=0.05))
         sweep = lr_sweep(base, [1e6, 1e7])
-        assert sweep.all_diverged
         assert sweep.best is None
 
     def test_c_grid_only_for_namo_d(self):
@@ -386,6 +385,9 @@ batch_size = 2
 seed = 9
 """
 
+# every hyperparameter from the optimizer's default recipe
+DEFAULT_RECIPE_INI = "[run]\nproblem = matrix_least_squares\ndims = 8,6,12\noptimizer = {}\nsteps = 100\n"
+
 # the first muon config of the benchmark's MLP workload
 PERFBENCH_MLP_INI = """\
 [run]
@@ -442,6 +444,22 @@ class TestConfigFiles:
         config = load_run_config(str(path))
         assert (config.hyper.mu1, config.hyper.mu2) == (0.9, 0.95)
         assert config.hyper.eta == 0.0013
+
+    @pytest.mark.parametrize(
+        "optimizer, recipe",
+        [
+            ("namo", HyperParams(0.012, 0.95, 0.99, 1e-8, 0.01, 1.0, OrthConfig())),
+            ("namo_d", HyperParams(0.009, 0.95, 0.99, 1e-8, 0.01, 0.1, OrthConfig())),
+            ("muon", HyperParams(0.0013, 0.95, 0.99, 1e-8, 0.01, 1.0, OrthConfig())),
+            ("adamw", HyperParams(0.0013, 0.9, 0.95, 1e-8, 0.01, 1.0, OrthConfig())),
+        ],
+    )
+    def test_default_recipe_is_pinned(self, optimizer, recipe):
+        hp = default_hyperparams(optimizer)
+        assert hp == recipe
+        assert [type(getattr(hp, f.name)) for f in dataclasses.fields(hp)] == [
+            type(getattr(recipe, f.name)) for f in dataclasses.fields(recipe)
+        ]
 
     def test_canonical_hash_ignores_formatting(self):
         a = config_from_mapping(
@@ -501,8 +519,11 @@ class TestConfigFiles:
                 ),
                 328985773715451741,
             ),
+            (lambda tmp: load_ini(tmp, DEFAULT_RECIPE_INI.format("namo")), 8034926118570623727),
+            (lambda tmp: load_ini(tmp, DEFAULT_RECIPE_INI.format("namo_d")), 3560885747105034353),
+            (lambda tmp: load_ini(tmp, DEFAULT_RECIPE_INI.format("adamw")), 1709924368897227401),
         ],
-        ids=["readme", "criterion_10", "perfbench_mlp", "theorem_schedule"],
+        ids=["readme", "criterion_10", "perfbench_mlp", "theorem_schedule", "namo", "namo_d", "adamw"],
     )
     def test_golden_streams(self, make, stream, tmp_path):
         assert derive_stream(make(tmp_path)) == stream
@@ -595,7 +616,6 @@ class TestCsvOutput:
         sweep = SweepResult(
             entries=(SweepEntry("namo", 0.01, None, 0.5, 0.1, STATUS_OK),),
             best=None,
-            all_diverged=False,
         )
         text = render_csv(sweep)
         assert text.splitlines()[0] == "optimizer,eta,c,final_loss,final_avg_grad,status"

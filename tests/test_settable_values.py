@@ -8,9 +8,12 @@ tests and the benchmark must cover, so adding or removing one edits
 """
 
 import argparse
+import ast
 import dataclasses
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 MODULES = ("cli", "harness", "optimizers", "orthogonalize", "linalg", "problems", "rng", "verification")
 CONFIG_CLASSES = (
@@ -48,7 +51,6 @@ SETTABLE_VALUES = (
     "cli.main(argv)",
     "harness.batch_adaptation_experiment(problem_seed)",
     "harness.build_problem(dataset_size)",
-    "harness.default_hyperparams(eta)",
     "harness.default_hyperparams(overrides)",
     "harness.lr_sweep(cs)",
     "harness.rate_experiment(batch_size)",
@@ -56,7 +58,6 @@ SETTABLE_VALUES = (
     "harness.rate_experiment(seed)",
     "harness.rate_experiment(sigma)",
     "linalg.as_matrix(name)",
-    "orthogonalize.orthogonalize(cfg)",
     "orthopt batch-adapt --T",
     "orthopt batch-adapt --b",
     "orthopt batch-adapt --dims",
@@ -86,19 +87,10 @@ SETTABLE_VALUES = (
     "orthopt verify-lemmas --seed",
     "orthopt verify-lemmas --snr-bound-scale",
     "orthopt verify-lemmas --trials",
-    "verification.check_phi_eps(eps_grid)",
-    "verification.check_phi_eps(x_grid)",
     "verification.check_snr_bound(bound_scale)",
     "verification.check_snr_bound(dims_max)",
-    "verification.check_snr_bound(rng)",
     "verification.check_snr_bound(t_max)",
-    "verification.check_snr_bound(trials)",
     "verification.check_trace_inequality(dims_max)",
-    "verification.check_trace_inequality(rng)",
-    "verification.check_trace_inequality(trials)",
-    "verification.run_all_checks(bound_scale)",
-    "verification.run_all_checks(seed)",
-    "verification.run_all_checks(trials)",
     "verification.snr_tightness_gap(dim)",
     "verification.snr_tightness_gap(mu)",
     "verification.snr_tightness_gap(t)",
@@ -140,3 +132,46 @@ def settable_values() -> list[str]:
 
 def test_settable_values_are_pinned():
     assert settable_values() == list(SETTABLE_VALUES)
+
+
+def _calls_by_name() -> dict[str, list[ast.Call]]:
+    """Every call in the package, its tests and the benchmark, keyed by the called name."""
+    root = Path(__file__).resolve().parents[1]
+    calls = {}
+    for path in sorted(p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, index: int, name: str) -> bool:
+    """Whether ``call`` sets the parameter at ``index`` named ``name`` (a ``*``/``**`` argument may)."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return len(call.args) > index or any(k.arg in (name, None) for k in call.keywords)
+
+
+def test_every_default_is_used():
+    # a default that every call overrides is a required parameter in disguise
+    calls = _calls_by_name()
+    overridden = []
+    for entry in SETTABLE_VALUES:
+        match = re.fullmatch(r"(\w+)\.([\w.]+)\((\w+)\)", entry)
+        if match is None:
+            continue
+        layer, qualname, param = match.groups()
+        fn = importlib.import_module(f"orthopt.{layer}")
+        for part in qualname.split("."):
+            fn = getattr(fn, part)
+        params = list(inspect.signature(fn).parameters.values())
+        (p,) = [p for p in params if p.name == param]
+        if p.kind is p.VAR_KEYWORD:
+            continue
+        name = qualname.rsplit(".", 1)[-1]
+        index = params.index(p) - (params[0].name == "self")  # a method is called on its instance
+        if all(_passes(call, index, param) for call in calls.get(name, [])):
+            overridden.append(entry)
+    assert overridden == []
