@@ -15,7 +15,6 @@ from .errors import (
 )
 from .linalg import (
     SvdFactors,
-    column_norms,
     frobenius_norm,
     inner_product,
     nuclear_norm,
@@ -39,8 +38,6 @@ from .optimizers import (
     ParameterRule,
     StepDiagnostics,
     adamw_step,
-    clamp_d,
-    compute_alpha,
     muon_step,
     namo_d_step,
     namo_step,

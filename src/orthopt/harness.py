@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, InputError, NumericalError
 from .optimizers import (
     AdamWState,
     HyperParams,
@@ -337,8 +337,9 @@ def run(config: RunConfig) -> RunResult:
     records: list[RunRecord] = []
     grad_norm_sum = 0.0
     steps_completed = 0
-    # Divergence is detected explicitly through the gradient norm and the
-    # loss, so float overflow along the way is expected rather than an error.
+    # Divergence is detected explicitly through the gradient norm, the steps'
+    # own gradient check and the loss, so float overflow along the way is
+    # expected rather than an error.
     with np.errstate(over="ignore", invalid="ignore"):
         # Gradient at theta_0; afterwards the one at theta_t comes with its loss.
         full_grads = problem.grad(theta)
@@ -357,9 +358,12 @@ def run(config: RunConfig) -> RunResult:
             # replace() re-validates HyperParams, so only warmup steps pay for it.
             plans_t = plans if eta_t == hp.eta else [(n, replace(p, eta=eta_t)) for n, p in plans]
             diags: list[StepDiagnostics] = []
-            for i, ((name, hp_t), grad) in enumerate(zip(plans_t, grads)):
-                theta[i], states[i], diag = _STEPS[name](theta[i], grad, states[i], hp_t)
-                diags.append(diag)
+            try:
+                for i, ((name, hp_t), grad) in enumerate(zip(plans_t, grads)):
+                    theta[i], states[i], diag = _STEPS[name](theta[i], grad, states[i], hp_t)
+                    diags.append(diag)
+            except InputError:  # overflowing noise made a gradient non-finite
+                break
 
             loss, full_grads = problem.loss_and_grad(theta)
             if not math.isfinite(loss):

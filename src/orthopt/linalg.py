@@ -46,11 +46,6 @@ def frobenius_norm(m) -> float:
     return _norm(as_matrix(m))
 
 
-def column_norms(m) -> np.ndarray:
-    """Euclidean norm of each column, as a 1-D array of length ``cols``."""
-    return _norm(as_matrix(m), axis=0)
-
-
 def inner_product(a, b) -> float:
     """Trace inner product sum_ij A_ij * B_ij = tr(A^T B)."""
     am = as_matrix(a, "first operand")
@@ -71,9 +66,6 @@ class SvdFactors:
     U: np.ndarray
     singular_values: np.ndarray
     V: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.singular_values) @ self.V.T
 
 
 def _svd(a: np.ndarray):

@@ -21,10 +21,9 @@ NAMO/NAMO-D:
 With lambda = 0 the NAMO/NAMO-D updates reduce to the plain two-moment
 recursions over the gradient stream.
 
-Steps validate their inputs once on entry, then run the arithmetic of
-``compute_alpha`` and ``clamp_d`` without re-checking arrays.  The matrix
-steps treat a parameter with more than two dimensions as its
-(d0, d1 * ... * dk) matrix, the convention Muon uses for convolution weights.
+Steps validate their inputs once on entry.  The matrix steps treat a
+parameter with more than two dimensions as its (d0, d1 * ... * dk) matrix,
+the convention Muon uses for convolution weights.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InputError
-from .linalg import _norm, as_matrix
+from .linalg import _norm
 from .orthogonalize import OrthConfig, orthogonalize
 
 
@@ -123,11 +122,9 @@ class StepDiagnostics:
     """Observable per-step quantities.
 
     ``alpha`` is populated by NAMO; ``d_raw``/``d_clamped``/``d_bar`` by
-    NAMO-D.  ``update_frobenius`` is the norm of the applied update and is
-    always present.
+    NAMO-D.
     """
 
-    update_frobenius: float
     alpha: float | None = None
     d_raw: np.ndarray | None = None
     d_clamped: np.ndarray | None = None
@@ -151,25 +148,16 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[0], -1) if a.ndim > 2 else a
 
 
-def compute_alpha(m, v: float, t: int, hp: HyperParams) -> float:
-    """Bias-corrected norm ratio scaling the orthogonalized update.
-
-    Returns ``sqrt(1-mu2^t)/(1-mu1^t) * ||M||_F / (sqrt(v) + eps)``, which is
-    strictly below ``hp.alpha_bound()`` whenever eps > 0.
-    """
-    if t < 1:
-        raise InputError("step counter must be >= 1")
-    if v < 0.0:
-        raise InputError("second moment must be nonnegative")
-    return _bias_correction(t, hp) * _norm(as_matrix(m)) / (math.sqrt(v) + hp.epsilon)
-
-
 def _bias_correction(t: int, hp: HyperParams) -> float:
     return math.sqrt(1.0 - hp.mu2**t) / (1.0 - hp.mu1**t)
 
 
 def namo_step(theta, grad, state: NamoState, hp: HyperParams):
-    """One NAMO step; returns (new parameter, new state, diagnostics)."""
+    """One NAMO step; returns (new parameter, new state, diagnostics).
+
+    The adaptive stepsize ``alpha`` is strictly below ``hp.alpha_bound()``
+    whenever eps > 0.
+    """
     th, g = _check_step_inputs(theta, grad, state.M.shape)
     shape, th, g = th.shape, _flat(th), _flat(g)
     t_new = state.t + 1
@@ -178,20 +166,8 @@ def namo_step(theta, grad, state: NamoState, hp: HyperParams):
     o = orthogonalize(m_new, hp.orth)
     alpha = _bias_correction(t_new, hp) * _norm(m_new) / (math.sqrt(v_new) + hp.epsilon)
     update = (hp.eta * alpha) * (o + hp.weight_decay * th)
-    diag = StepDiagnostics(update_frobenius=_norm(update), alpha=alpha)
+    diag = StepDiagnostics(alpha=alpha)
     return (th - update).reshape(shape), NamoState(M=m_new.reshape(shape), v=v_new, t=t_new), diag
-
-
-def clamp_d(d, c: float) -> np.ndarray:
-    """Clamp entries of ``d`` into [c * mean(d), mean(d) / c] entrywise."""
-    arr = np.asarray(d, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InputError("clamp_d needs a nonempty 1-D vector")
-    if np.any(arr < 0.0):
-        raise InputError("clamp_d entries must be nonnegative")
-    if not 0.0 < c <= 1.0:
-        raise ConfigError("clamping constant must lie in (0, 1]")
-    return _clamp(arr, c)[1]
 
 
 def _clamp(d: np.ndarray, c: float) -> tuple[float, np.ndarray]:
@@ -215,12 +191,7 @@ def namo_d_step(theta, grad, state: NamoDState, hp: HyperParams):
     d_bar, d_clamped = _clamp(d_raw, hp.clamp_c)
     o = orthogonalize(m_new, hp.orth)
     update = hp.eta * ((o + hp.weight_decay * th) * d_clamped[np.newaxis, :])
-    diag = StepDiagnostics(
-        update_frobenius=_norm(update),
-        d_raw=d_raw,
-        d_clamped=d_clamped,
-        d_bar=d_bar,
-    )
+    diag = StepDiagnostics(d_raw=d_raw, d_clamped=d_clamped, d_bar=d_bar)
     return (th - update).reshape(shape), NamoDState(M=m_new.reshape(shape), v=v_new, t=t_new), diag
 
 
@@ -232,8 +203,7 @@ def muon_step(theta, grad, state: MuonState, hp: HyperParams):
     m_new = hp.mu1 * _flat(state.M) + (1.0 - hp.mu1) * g
     o = orthogonalize(m_new, hp.orth)
     update = hp.eta * (o + hp.weight_decay * th)
-    diag = StepDiagnostics(update_frobenius=_norm(update))
-    return (th - update).reshape(shape), MuonState(M=m_new.reshape(shape), t=t_new), diag
+    return (th - update).reshape(shape), MuonState(M=m_new.reshape(shape), t=t_new), StepDiagnostics()
 
 
 def adamw_step(theta, grad, state: AdamWState, hp: HyperParams):
@@ -245,8 +215,7 @@ def adamw_step(theta, grad, state: AdamWState, hp: HyperParams):
     m_hat = m_new / (1.0 - hp.mu1**t_new)
     v_hat = v_new / (1.0 - hp.mu2**t_new)
     update = hp.eta * (m_hat / (np.sqrt(v_hat) + hp.epsilon) + hp.weight_decay * th)
-    diag = StepDiagnostics(update_frobenius=_norm(update))
-    return th - update, AdamWState(m=m_new, v=v_new, t=t_new), diag
+    return th - update, AdamWState(m=m_new, v=v_new, t=t_new), StepDiagnostics()
 
 
 class ParameterRule(enum.Enum):

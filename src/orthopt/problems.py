@@ -257,7 +257,10 @@ def _gradient_oracle(problem: Problem, noise: NoiseModel, rng: Rng, steps: int):
             return exact
         sizes = [math.prod(shape) for shape in problem.params_spec]
         total = sum(sizes)
-        std = noise.sigma / np.sqrt(noise.batch_size * total)
+        try:  # the exact integer product, rounded once to float as numpy's int64 cast does
+            std = noise.sigma / math.sqrt(noise.batch_size * total)
+        except OverflowError:
+            raise ConfigError(f"batch_size {noise.batch_size} is too large for additive noise") from None
 
         def noise_rows():  # per call, the scaled noise of each parameter
             left = steps

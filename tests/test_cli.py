@@ -42,7 +42,23 @@ BAD_VALUE_CONFIGS = {
     **{f"weight_decay={v}": {"weight_decay": v} for v in ("nan", "inf", "1e400")},
     **{f"eta={v}": {"eta": v} for v in ("inf", "1e400")},
     "mlp_zero_width_input": {"problem": "mlp", "dims": "0,3,2"},
+    # sqrt(batch_size * parameter count) has no float64 value
+    "batch_size=10**400": {"sigma": "0.5", "batch_size": str(10**400)},
 }
+
+# sigma=1.7e308 overflows a noisy gradient to inf, which the AdamW and Muon
+# steps reject; the run ends diverged there
+NOISE_OVERFLOW_INI = """\
+[run]
+problem = matrix_least_squares
+dims = 2,2,4
+optimizer = adamw
+steps = 50
+sigma = 1.7e308
+"""
+NOISE_OVERFLOW_FLAGS = ["--sigma", "1.7e308", "--dims", "2,2,4", "--optimizer", "muon"]
+# batch_size * parameter count beyond uint64
+HUGE_BATCH = "10000000000000000000"
 
 
 # eta / warmup_steps (default 2 at 40 steps) rounds to 0 at the first step
@@ -143,6 +159,19 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
         assert "status=diverged" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("optimizer", ["adamw", "muon"])
+    def test_noise_overflow_exits_ok_with_diverged_status(self, optimizer, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(with_values(NOISE_OVERFLOW_INI, {"optimizer": optimizer}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert "status=diverged" in capsys.readouterr().out
+
+    def test_huge_batch_size_runs(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(with_values(RUN_INI, {"sigma": "0.5", "batch_size": HUGE_BATCH}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert "status=ok" in capsys.readouterr().out
+
     def test_unwritable_out_is_io_error(self, run_config, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -162,6 +191,12 @@ class TestSweepCommand:
         assert text.splitlines()[0] == "optimizer,eta,c,final_loss,final_avg_grad,status"
         assert len(text.splitlines()) == 3
         assert "sweep best" in capsys.readouterr().out
+
+    def test_noise_overflow_ends_all_diverged(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(NOISE_OVERFLOW_INI)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert capsys.readouterr().out == "sweep: all runs diverged\n"
 
     def test_cs_for_wrong_optimizer_is_config_error(self, run_config, tmp_path):
         code = main(
@@ -187,6 +222,20 @@ class TestRatesCommand:
         assert code == EXIT_OK
         assert (out / "rates.csv").read_text().splitlines()[0] == "T,final_avg_grad_fro"
         assert "slope=" in capsys.readouterr().out
+
+    def test_noise_overflow_is_numerical_failure(self, tmp_path, capsys):
+        code = main(
+            [
+                "rates",
+                "--problem", "matrix_least_squares",
+                *NOISE_OVERFLOW_FLAGS,
+                "--T", "10,20,40",
+                "--regime", "stoch",
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err.startswith("numerical failure: only 0 of 3 horizons completed")
 
     def test_bad_regime_is_config_error(self, tmp_path):
         code = main(
@@ -285,6 +334,35 @@ class TestBatchAdaptCommand:
         assert text.splitlines()[0] == "b,mean_final_avg_grad_fro"
         assert len(text.splitlines()) == 4
         assert "b=1:" in capsys.readouterr().out
+
+    def test_noise_overflow_is_numerical_failure(self, tmp_path, capsys):
+        code = main(
+            [
+                "batch-adapt",
+                *NOISE_OVERFLOW_FLAGS,
+                "--b", "1,4",
+                "--seeds", "1,2,3",
+                "--T", "40",
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err == "numerical failure: all runs diverged at batch size 1\n"
+
+    def test_huge_batch_size_runs(self, tmp_path, capsys):
+        code = main(
+            [
+                "batch-adapt",
+                "--sigma", "0.5",
+                "--b", HUGE_BATCH,
+                "--seeds", "1,2,3",
+                "--dims", "4,3,6",
+                "--T", "20",
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"b={HUGE_BATCH}: ")
 
     def test_bad_b_list_is_config_error(self, tmp_path):
         code = main(
@@ -385,7 +463,7 @@ VALID_TEXTS = {
     "batch_size": ["1", "4", "100"],
     "noise_kind": ["additive_gaussian", "minibatch"],
 }
-ODD_TEXTS = ["0", "-1", "nan", "inf", "-inf", "1e400", "5e-324", "", "abc"]
+ODD_TEXTS = ["0", "-1", "nan", "inf", "-inf", "1e400", "1.7e308", "5e-324", HUGE_BATCH, "", "abc"]
 RUN_STATUS = re.compile(r"^run\[\d+\] status=(\w+) ", re.M)
 
 
@@ -401,6 +479,8 @@ RUN_STATUS = re.compile(r"^run\[\d+\] status=(\w+) ", re.M)
     )
 )
 @example(edits=[("eta", "5e-324")])
+@example(edits=[("optimizer", "adamw"), ("dims", "2,2,4"), ("sigma", "1.7e308")])
+@example(edits=[("sigma", "0.5"), ("batch_size", HUGE_BATCH)])
 def test_every_config_file_is_config_error_or_ok_or_diverged(edits):
     # edits apply in order to WARMUP_UNDERFLOW_INI without its eta line; None
     # removes the key, required keys included

@@ -142,6 +142,20 @@ class TestRun:
         sweep = lr_sweep(grad_norm_overflow_config(), [1e-3, GRAD_NORM_OVERFLOW_ETA])
         assert [e.status for e in sweep.entries] == [STATUS_OK, STATUS_DIVERGED]
 
+    @pytest.mark.parametrize("optimizer", ["adamw", "muon"])
+    def test_noise_overflow_ends_diverged(self, optimizer):
+        # sigma=1.7e308 overflows a noisy gradient to inf; the step rejects it
+        # and the run stops before that step, as it does on a non-finite loss
+        cfg = config_from_mapping(
+            {"problem": "matrix_least_squares", "dims": "2,2,4", "optimizer": optimizer,
+             "steps": "50", "log_every": "1", "sigma": "1.7e308"}
+        )
+        result = run(cfg)
+        assert result.status == STATUS_DIVERGED
+        assert 0 < result.steps_completed < cfg.steps
+        assert [r.step for r in result.records] == list(range(1, result.steps_completed + 1))
+        assert all(math.isfinite(r.loss) for r in result.records)
+
     def test_running_average_recomputes_offline(self):
         result = run(small_config(steps=25))
         grads = [r.grad_fro for r in result.records]

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthopt.errors import ConfigError, DimensionError, InputError
-from orthopt.linalg import frobenius_norm
 from orthopt.optimizers import (
     AdamWState,
     HyperParams,
@@ -14,9 +13,8 @@ from orthopt.optimizers import (
     NamoDState,
     NamoState,
     ParameterRule,
+    _clamp,
     adamw_step,
-    clamp_d,
-    compute_alpha,
     muon_step,
     namo_d_step,
     namo_step,
@@ -115,40 +113,31 @@ class TestHyperParams:
 
 
 class TestComputeAlpha:
+    # alpha as namo_step computes it: from NamoState.zero, the first step's M
+    # and v are bitwise (1 - mu1) g and (1 - mu2) ||g||^2
     def test_first_step_cancels_bias(self):
         # t=1 with M = (1-mu1) g and v = (1-mu2) ||g||^2 gives alpha -> 1
-        hp = HyperParams(eta=0.1, mu1=0.9, mu2=0.99, epsilon=TINY_EPS)
+        hp = HyperParams(eta=0.1, mu1=0.9, mu2=0.99, epsilon=TINY_EPS, orth=EXACT)
         g = Rng(1).normal_matrix(3, 4)
-        m = (1.0 - hp.mu1) * g
-        v = (1.0 - hp.mu2) * frobenius_norm(g) ** 2
-        assert compute_alpha(m, v, 1, hp) == pytest.approx(1.0, abs=1e-12)
+        _, _, diag = namo_step(np.zeros((3, 4)), g, NamoState.zero((3, 4)), hp)
+        assert diag.alpha == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_value(self):
         # ||g|| = 1, mu2 = 0.99, eps = 0.1: eps_1 = 1, alpha_1 = 0.5
-        hp = HyperParams(eta=0.1, mu1=0.9, mu2=0.99, epsilon=0.1)
-        g = np.array([[1.0]])
-        m = (1.0 - hp.mu1) * g
-        v = (1.0 - hp.mu2) * 1.0
-        assert compute_alpha(m, v, 1, hp) == pytest.approx(0.5, abs=1e-15)
+        hp = HyperParams(eta=0.1, mu1=0.9, mu2=0.99, epsilon=0.1, orth=EXACT)
+        _, _, diag = namo_step(np.zeros((1, 1)), np.array([[1.0]]), NamoState.zero((1, 1)), hp)
+        assert diag.alpha == pytest.approx(0.5, abs=1e-15)
 
     def test_strict_bound_over_random_streams(self):
-        hp = HyperParams(eta=0.1, mu1=0.95, mu2=0.99, epsilon=1e-8)
+        hp = HyperParams(eta=0.1, mu1=0.95, mu2=0.99, epsilon=1e-8, orth=EXACT)
         bound = hp.alpha_bound()
         rng = Rng(7)
         for trial in range(200):
             r = rng.substream(trial)
-            t = 1 + trial % 40
-            m = np.zeros((4, 3))
-            v = 0.0
-            for g in (r.normal_matrix(4, 3) for _ in range(t)):
-                m = hp.mu1 * m + (1.0 - hp.mu1) * g
-                v = hp.mu2 * v + (1.0 - hp.mu2) * frobenius_norm(g) ** 2
-            assert compute_alpha(m, v, t, hp) < bound
-
-    def test_counter_precondition(self):
-        hp = HyperParams(eta=0.1)
-        with pytest.raises(InputError):
-            compute_alpha(np.zeros((2, 2)), 0.0, 0, hp)
+            theta, state = np.zeros((4, 3)), NamoState.zero((4, 3))
+            for _ in range(1 + trial % 40):
+                theta, state, diag = namo_step(theta, r.normal_matrix(4, 3), state, hp)
+                assert diag.alpha < bound
 
 
 class TestNamoStep:
@@ -218,24 +207,17 @@ class TestNamoStep:
 
 
 class TestClampD:
+    # D_t's clamp as namo_d_step computes it
     def test_hand_case(self):
-        np.testing.assert_allclose(clamp_d(np.array([0.1, 1.0]), 0.5), [0.275, 1.0], atol=1e-15)
+        np.testing.assert_allclose(_clamp(np.array([0.1, 1.0]), 0.5)[1], [0.275, 1.0], atol=1e-15)
 
     def test_c_one_collapses_to_mean(self):
         d = np.array([0.3, 0.8, 0.1])
         d_bar = d.sum() / 3.0
-        np.testing.assert_allclose(clamp_d(d, 1.0), np.full(3, d_bar), atol=1e-15)
+        np.testing.assert_allclose(_clamp(d, 1.0)[1], np.full(3, d_bar), atol=1e-15)
 
     def test_slack_clamps_are_identity(self):
-        np.testing.assert_array_equal(clamp_d(np.array([0.2, 0.4]), 0.001), [0.2, 0.4])
-
-    def test_preconditions(self):
-        with pytest.raises(InputError):
-            clamp_d(np.array([]), 0.5)
-        with pytest.raises(InputError):
-            clamp_d(np.array([-0.1, 0.2]), 0.5)
-        with pytest.raises(ConfigError):
-            clamp_d(np.array([0.1]), 0.0)
+        np.testing.assert_array_equal(_clamp(np.array([0.2, 0.4]), 0.001)[1], [0.2, 0.4])
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=16),
@@ -244,7 +226,7 @@ class TestClampD:
     @settings(max_examples=100, deadline=None)
     def test_conditioning_and_interval(self, values, c):
         d = np.array(values)
-        out = clamp_d(d, c)
+        out = _clamp(d, c)[1]
         d_bar = d.sum() / d.size
         assert np.all(out >= c * d_bar - 1e-15)
         assert np.all(out <= d_bar / c + 1e-9 * max(1.0, d_bar))
@@ -468,14 +450,6 @@ def test_step_determinism():
     assert np.array_equal(run_once(), run_once())
 
 
-def test_update_frobenius_diagnostic():
-    g = Rng(51).normal_matrix(3, 3)
-    hp = HyperParams(eta=0.1, orth=EXACT)
-    theta0 = np.zeros((3, 3))
-    theta, _, diag = muon_step(theta0, g, MuonState.zero((3, 3)), hp)
-    assert diag.update_frobenius == pytest.approx(frobenius_norm(theta0 - theta), rel=1e-12)
-
-
 @pytest.mark.parametrize(
     "step,state_cls", [(namo_step, NamoState), (namo_d_step, NamoDState), (muon_step, MuonState)]
 )
@@ -494,4 +468,6 @@ def test_three_dim_parameter_steps_as_its_matrix_reshape(step, state_cls):
         np.testing.assert_array_equal(theta3.reshape(2, 12), theta2)
         np.testing.assert_array_equal(state3.M.reshape(2, 12), state2.M)
         np.testing.assert_array_equal(getattr(state3, "v", None), getattr(state2, "v", None))
-        assert diag3.update_frobenius == diag2.update_frobenius
+        np.testing.assert_array_equal(diag3.d_raw, diag2.d_raw)
+        np.testing.assert_array_equal(diag3.d_clamped, diag2.d_clamped)
+        assert (diag3.alpha, diag3.d_bar) == (diag2.alpha, diag2.d_bar)

@@ -1,0 +1,108 @@
+"""Golden comparison: one SHA-256 per CLI invocation over a fixed set.
+
+Usage::
+
+    python tools/golden.py <tree> > golden.txt
+
+imports ``orthopt`` from ``<tree>/src`` and drives ``cli.main`` in-process
+over runs, sweeps, rate and batch-size experiments and lemma checks.  Each
+line is the digest of one invocation's CSV files (names and bytes), stdout,
+stderr and exit code, followed by its label; the last line is a digest over
+all of them.  Running it on two trees and diffing the outputs names every
+invocation whose bytes changed.
+
+BLAS and OpenMP are pinned to one thread before numpy is imported, because
+beyond 128x128 gesdd's bits depend on the thread count.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+PROBLEMS = {"matrix_least_squares": "8,6,12", "matrix_factorization": "16,4,16", "mlp": "4,8,2"}
+OPTIMIZERS = ("namo", "namo_d", "muon", "adamw")
+ORTH_METHODS = ("exact", "newton_schulz")
+NOISES = {"none": "", "additive": "sigma = 0.5\n", "minibatch": "noise_kind = minibatch\nbatch_size = 8\n"}
+ETAS = {"default": "", "eta=1e3": "eta = 1e3\n"}
+
+
+def invocations():
+    """(label, argv, config text or None) for every invocation of the set."""
+    for problem, dims in PROBLEMS.items():
+        for optimizer in OPTIMIZERS:
+            base = f"[run]\nproblem = {problem}\ndims = {dims}\noptimizer = {optimizer}\nsteps = 40\n"
+            for orth in ORTH_METHODS:
+                for noise, noise_text in NOISES.items():
+                    for eta, eta_text in ETAS.items():
+                        text = base + f"orth_method = {orth}\nrepeats = 2\n" + noise_text + eta_text
+                        yield f"run {problem} {optimizer} {orth} {noise} {eta}", ["run"], text
+            yield f"sweep {problem} {optimizer}", ["sweep"], base + "sigma = 0.5\n"
+        yield f"sweep {problem} namo_d cs", ["sweep", "--cs", "0.25,1"], (
+            f"[run]\nproblem = {problem}\ndims = {dims}\noptimizer = namo_d\nsteps = 40\n"
+        )
+    for optimizer in OPTIMIZERS:
+        rates = ["rates", "--problem", "matrix_least_squares", "--optimizer", optimizer, "--T", "16,32,64"]
+        yield f"rates det {optimizer}", [*rates, "--regime", "det"], None
+        yield f"rates stoch {optimizer}", [*rates, "--regime", "stoch", "--sigma", "0.5", "--b", "4"], None
+        yield f"batch-adapt {optimizer}", [
+            "batch-adapt", "--sigma", "0.5", "--b", "1,4,16", "--seeds", "0,1,2",
+            "--optimizer", optimizer, "--T", "64",
+        ], None
+    for seed in range(6):
+        yield f"verify-lemmas seed={seed}", ["verify-lemmas", "--trials", "200", "--seed", str(seed)], None
+    yield "verify-lemmas scale=0.5", ["verify-lemmas", "--trials", "200", "--snr-bound-scale", "0.5"], None
+    yield "verify-lemmas trials=0", ["verify-lemmas", "--trials", "0"], None
+
+
+def digest(main, argv, config_text) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        if config_text is not None:
+            config = os.path.join(tmp, "run.ini")
+            Path(config).write_text(config_text, encoding="utf-8")
+            argv = [*argv, "--config", config]
+        out_dir = os.path.join(tmp, "out")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", out_dir])
+        h = hashlib.sha256()
+        for path in sorted(Path(out_dir).glob("*")) if os.path.isdir(out_dir) else []:
+            h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+        for text in (stdout.getvalue(), stderr.getvalue()):
+            h.update(text.replace(tmp, "<tmp>").encode() + b"\0")
+        h.update(str(code).encode())
+    return h.hexdigest()
+
+
+def main() -> int:
+    args = sys.argv[1:]
+    if len(args) != 1:
+        print("usage: python tools/golden.py <tree>", file=sys.stderr)
+        return 2
+    src = Path(args[0]).resolve() / "src"
+    sys.path.insert(0, str(src))
+    from orthopt import cli
+
+    if Path(cli.__file__).resolve().parents[1] != src:
+        print(f"orthopt was not imported from {src}", file=sys.stderr)
+        return 2
+    total = hashlib.sha256()
+    for label, cli_argv, config_text in invocations():
+        line = f"{digest(cli.main, cli_argv, config_text)}  {label}"
+        print(line, flush=True)
+        total.update(line.encode() + b"\n")
+    print(f"{total.hexdigest()}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
