@@ -7,9 +7,13 @@ Exit codes: 0 success, 1 config error, 2 lemma/acceptance failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import os
 import sys
 from dataclasses import replace
+
+import numpy as np
 
 from .errors import ConfigError, NumericalError, OrthoptError
 from .harness import (
@@ -227,7 +231,25 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _pin_blas_to_one_thread() -> None:
+    """Run numpy's OpenBLAS on one thread, since beyond 128x128 gesdd's bits
+    depend on the thread count.  A build without the symbol (numpy 1.x names
+    it otherwise) keeps its thread count."""
+    try:  # dlsym on numpy's extension module also searches the OpenBLAS it links
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get_threads, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return
+    get_threads.restype = ctypes.c_int
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    if get_threads() != 1:
+        set_threads(1)
+
+
 def main(argv=None) -> int:
+    _pin_blas_to_one_thread()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -50,6 +50,8 @@ class Problem:
 
     ``loss_and_grad`` (required: ``harness.run`` steps on it) is bitwise equal
     to ``(loss(p), grad(p))`` from one evaluation; ``params_spec`` is derived.
+    An MLP problem's oracle reuses work buffers it owns, so it must not be
+    evaluated from two threads at once (``harness.run`` builds one per run).
     """
 
     name: str
@@ -161,7 +163,9 @@ def make_mlp_problem(layer_dims, dataset_size: int, seed: int) -> Problem:
     Parameters alternate weight matrices and bias vectors, so the problem
     exercises matrix/fallback routing.  The loss is the mean squared error
     0.5 * mean_i ||f(x_i) - y_i||^2 with targets from a seeded teacher
-    network of the same architecture.
+    network of the same architecture.  The full-data oracle writes into one
+    activation and one error buffer per hidden layer, allocated here; the loss
+    and gradients it returns are fresh and never alias them.
     """
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) < 3:
@@ -178,28 +182,40 @@ def make_mlp_problem(layer_dims, dataset_size: int, seed: int) -> Problem:
             out.append(np.zeros(dims[l + 1]))
         return out
 
+    def work(rows: int) -> list[np.ndarray]:  # one (rows, width) array per hidden layer
+        return [np.empty((rows, d)) for d in dims[1:-1]]
+
+    # Allocated once: at 256 samples of width 64 each is 128 KiB, glibc's mmap
+    # threshold, so per-call temporaries would be mapped and unmapped each time.
+    hidden, deltas = work(dataset_size), work(dataset_size)
     teacher = draw_params(rng, 1.0)
     x_data = rng.normal_matrix(dataset_size, dims[0])
-    y_data = _mlp_forward(teacher, x_data, n_layers)[-1]
+    y_data = _mlp_forward(teacher, x_data, hidden)
     theta0 = draw_params(rng, 0.5)
 
-    def loss_and_grad_on(params, xs, ys):
-        acts = _mlp_forward(params, xs, n_layers)
-        err = acts[-1] - ys
+    def loss_and_grad_on(params, xs, ys, hidden, deltas):
+        err = _mlp_forward(params, xs, hidden)
+        err -= ys
         delta = err / xs.shape[0]
+        acts = [xs, *hidden]
         grads: list[np.ndarray] = [np.zeros(0)] * (2 * n_layers)
         for l in range(n_layers - 1, -1, -1):
             grads[2 * l] = acts[l].T @ delta
             grads[2 * l + 1] = np.add.reduce(delta, axis=0)
-            if l > 0:
-                delta = (delta @ params[2 * l].T) * (1.0 - acts[l] ** 2)
+            if l > 0:  # delta @ W^T * (1 - a^2), with 1 - a^2 written over a
+                a = acts[l]
+                np.square(a, out=a)
+                np.subtract(1.0, a, out=a)
+                delta = np.matmul(delta, params[2 * l].T, out=deltas[l - 1])
+                delta *= a
         return 0.5 * float(np.add.reduce(err**2, axis=None)) / xs.shape[0], grads
 
     def loss_and_grad(params: list[np.ndarray]):
-        return loss_and_grad_on(params, x_data, y_data)
+        return loss_and_grad_on(params, x_data, y_data, hidden, deltas)
 
     def minibatch_grad(params: list[np.ndarray], indices: np.ndarray) -> list[np.ndarray]:
-        return loss_and_grad_on(params, x_data[indices], y_data[indices])[1]
+        b = indices.size
+        return loss_and_grad_on(params, x_data[indices], y_data[indices], work(b), work(b))[1]
 
     return Problem(
         name="mlp",
@@ -213,15 +229,15 @@ def make_mlp_problem(layer_dims, dataset_size: int, seed: int) -> Problem:
     )
 
 
-def _mlp_forward(params: list[np.ndarray], xs: np.ndarray, n_layers: int) -> list[np.ndarray]:
-    """Activations per layer; hidden layers tanh, final layer linear."""
-    acts = [xs]
+def _mlp_forward(params: list[np.ndarray], xs: np.ndarray, hidden: list[np.ndarray]) -> np.ndarray:
+    """Network output on rows ``xs`` (final layer linear, a fresh array); the
+    tanh activation of each hidden layer is written into its ``hidden`` array."""
     h = xs
-    for l in range(n_layers):
-        z = h @ params[2 * l] + params[2 * l + 1]
-        h = np.tanh(z) if l < n_layers - 1 else z
-        acts.append(h)
-    return acts
+    for l, a in enumerate(hidden):
+        np.matmul(h, params[2 * l], out=a)
+        a += params[2 * l + 1]
+        h = np.tanh(a, out=a)
+    return h @ params[-2] + params[-1]
 
 
 def stochastic_grad(

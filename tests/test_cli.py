@@ -407,15 +407,17 @@ BLAS_THREAD_CASES = {
     "noise_kind = minibatch\nbatch_size = 16\nsteps = 40\nseed = 5\n",
     "least_squares": "problem = matrix_least_squares\ndims = 8,6,12\noptimizer = namo\n"
     "sigma = 0.5\nsteps = 40\nseed = 5\n",
+    "least_squares_300x200": "problem = matrix_least_squares\ndims = 300,200,400\noptimizer = namo\n"
+    "steps = 5\nseed = 5\n",
     "verify_lemmas": ["verify-lemmas", "--trials", "60", "--seed", "1"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(BLAS_THREAD_CASES))
 def test_csv_bytes_do_not_depend_on_blas_threads(name, tmp_path):
-    # The EXACT path runs LAPACK gesdd, whose bits match across BLAS thread
-    # counts for matrices up to 128x128 (the largest here); see README.  The
-    # SNR check of verify-lemmas takes every g.g from one stacked matmul.
+    # cli.main runs OpenBLAS on one thread whatever OPENBLAS_NUM_THREADS says:
+    # beyond 128x128 gesdd's bits depend on the thread count.  The SNR check
+    # of verify-lemmas takes every g.g from one stacked matmul.
     case = BLAS_THREAD_CASES[name]
     if isinstance(case, list):
         argv, csv_name = case, "lemmas.csv"

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,58 @@ class TestMlpProblem:
     def test_layer_count_validation(self):
         with pytest.raises(ConfigError):
             make_mlp_problem((3, 2), dataset_size=8, seed=0)
+
+
+def reference_mlp_loss_and_grad(params, xs, ys):
+    """The MLP oracle written with a fresh array per operation."""
+    n_layers = len(params) // 2
+    acts = [xs]
+    for l in range(n_layers):
+        z = acts[-1] @ params[2 * l] + params[2 * l + 1]
+        acts.append(np.tanh(z) if l < n_layers - 1 else z)
+    err = acts[-1] - ys
+    delta = err / xs.shape[0]
+    grads = [None] * (2 * n_layers)
+    for l in range(n_layers - 1, -1, -1):
+        grads[2 * l] = acts[l].T @ delta
+        grads[2 * l + 1] = np.add.reduce(delta, axis=0)
+        if l > 0:
+            delta = (delta @ params[2 * l].T) * (1.0 - acts[l] ** 2)
+    return 0.5 * float(np.add.reduce(err**2, axis=None)) / xs.shape[0], grads
+
+
+@pytest.mark.parametrize("dataset_size", [1, 10, 256])
+@pytest.mark.parametrize("dims", [(3, 5, 2), (3, 5, 4, 2), (16, 64, 64, 8), (4, 7, 6, 5, 3, 2)])
+def test_mlp_oracle_with_reused_buffers_matches_allocating_reference(dims, dataset_size):
+    problem = make_mlp_problem(dims, dataset_size=dataset_size, seed=dataset_size)
+    x, y = problem.data["X"], problem.data["Y"]
+    # The arrays the full-data oracle holds: X, Y and two work buffers per hidden layer.
+    held = [
+        a
+        for value in inspect.getclosurevars(problem.loss_and_grad).nonlocals.values()
+        for a in (value if isinstance(value, list) else [value])
+        if isinstance(a, np.ndarray)
+    ]
+    assert len(held) == 2 + 2 * (len(dims) - 2)
+    rng = Rng(len(dims))
+    param_sets = [
+        [p + 0.5 * rng.normals(p.size).reshape(p.shape) for p in problem.theta0] for _ in range(2)
+    ]
+    idx = np.sort(rng.sample_without_replacement(dataset_size, max(1, dataset_size // 3)))
+    # alternate two parameter sets, so that state carried between calls shows
+    for params in param_sets * 3:
+        want_loss, want = reference_mlp_loss_and_grad(params, x, y)
+        loss, got = problem.loss_and_grad(params)
+        mini = problem.minibatch_grad(params, idx)
+        assert loss == want_loss
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        for g, w in zip(mini, reference_mlp_loss_and_grad(params, x[idx], y[idx])[1]):
+            np.testing.assert_array_equal(g, w)
+        for g in got + mini:
+            assert not any(np.shares_memory(g, a) for a in held)
+            g.fill(np.nan)  # a caller writing into its gradient leaves the next call unchanged
+    assert problem.loss(param_sets[0]) == reference_mlp_loss_and_grad(param_sets[0], x, y)[0]
 
 
 class TestStochasticGrad:

@@ -9,7 +9,13 @@ over runs, sweeps, rate and batch-size experiments and lemma checks.  Each
 line is the digest of one invocation's CSV files (names and bytes), stdout,
 stderr and exit code, followed by its label; the last line is a digest over
 all of them.  Running it on two trees and diffing the outputs names every
-invocation whose bytes changed.
+invocation whose bytes changed.  The first line names the build (numpy, its
+BLAS, the OpenBLAS core chosen at run time, machine, libc and Python), because
+the digests hold only on the build that made them.
+
+``tools/golden.txt`` holds the digests of this tree; ``tests/test_golden.py``
+compares against it on the build named in its first line.  A deliberate byte
+change regenerates it (``python tools/golden.py . > tools/golden.txt``).
 
 BLAS and OpenMP are pinned to one thread before numpy is imported, because
 beyond 128x128 gesdd's bits depend on the thread count.
@@ -23,8 +29,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import contextlib
+import ctypes
 import hashlib
 import io
+import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -34,6 +43,11 @@ OPTIMIZERS = ("namo", "namo_d", "muon", "adamw")
 ORTH_METHODS = ("exact", "newton_schulz")
 NOISES = {"none": "", "additive": "sigma = 0.5\n", "minibatch": "noise_kind = minibatch\nbatch_size = 8\n"}
 ETAS = {"default": "", "eta=1e3": "eta = 1e3\n"}
+# The benchmark's MLP: 256 samples, so each hidden layer's activations are 128 KiB.
+MLP_BENCH = (
+    "[run]\nproblem = mlp\ndims = 16,64,64,8\ndataset_size = 256\noptimizer = {optimizer}\n"
+    "orth_method = newton_schulz\nnoise_kind = minibatch\nbatch_size = 32\nsteps = 64\n"
+)
 
 
 def invocations():
@@ -50,6 +64,10 @@ def invocations():
         yield f"sweep {problem} namo_d cs", ["sweep", "--cs", "0.25,1"], (
             f"[run]\nproblem = {problem}\ndims = {dims}\noptimizer = namo_d\nsteps = 40\n"
         )
+    for optimizer in ("namo", "muon"):
+        yield f"run mlp 16,64,64,8 {optimizer} newton_schulz minibatch=32", ["run"], MLP_BENCH.format(
+            optimizer=optimizer
+        )
     for optimizer in OPTIMIZERS:
         rates = ["rates", "--problem", "matrix_least_squares", "--optimizer", optimizer, "--T", "16,32,64"]
         yield f"rates det {optimizer}", [*rates, "--regime", "det"], None
@@ -62,6 +80,33 @@ def invocations():
         yield f"verify-lemmas seed={seed}", ["verify-lemmas", "--trials", "200", "--seed", str(seed)], None
     yield "verify-lemmas scale=0.5", ["verify-lemmas", "--trials", "200", "--snr-bound-scale", "0.5"], None
     yield "verify-lemmas trials=0", ["verify-lemmas", "--trials", "0"], None
+
+
+def build_fingerprint() -> str:
+    import numpy as np
+
+    try:
+        get_config = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_config64_
+        get_config.restype = ctypes.c_char_p
+        openblas = get_config().decode()
+    except (AttributeError, OSError):
+        openblas = None
+    try:  # the build's install paths say nothing about its arithmetic
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {key: value for key, value in blas.items() if "directory" not in key}
+    except TypeError:  # numpy before 1.26 has no mode
+        blas = None
+    return json.dumps(
+        {
+            "numpy": np.__version__,
+            "blas": blas,
+            "openblas_runtime": openblas,
+            "machine": platform.machine(),
+            "libc": platform.libc_ver(),
+            "python": platform.python_version(),
+        },
+        sort_keys=True,
+    )
 
 
 def digest(main, argv, config_text) -> str:
@@ -95,6 +140,7 @@ def main() -> int:
     if Path(cli.__file__).resolve().parents[1] != src:
         print(f"orthopt was not imported from {src}", file=sys.stderr)
         return 2
+    print(f"# build {build_fingerprint()}", flush=True)
     total = hashlib.sha256()
     for label, cli_argv, config_text in invocations():
         line = f"{digest(cli.main, cli_argv, config_text)}  {label}"
