@@ -78,6 +78,7 @@ def invocations():
         ], None
     for seed in range(6):
         yield f"verify-lemmas seed={seed}", ["verify-lemmas", "--trials", "200", "--seed", str(seed)], None
+    yield "verify-lemmas trials=1000 seed=2026", ["verify-lemmas", "--trials", "1000", "--seed", "2026"], None
     yield "verify-lemmas scale=0.5", ["verify-lemmas", "--trials", "200", "--snr-bound-scale", "0.5"], None
     yield "verify-lemmas trials=0", ["verify-lemmas", "--trials", "0"], None
 
