@@ -80,16 +80,20 @@ def orthogonalize(m, cfg: OrthConfig) -> np.ndarray:
     if norm <= _ZERO_THRESHOLD:
         return np.zeros_like(a)
     if cfg.method is OrthMethod.EXACT:
-        # U V^T is blind to sign flips of matched singular vectors, so gesdd's
-        # factors need no sign rule.  BLAS picks its kernel from the operand
-        # layout; (V U^T)^T rounds bit for bit like reduced_svd's U V^T.
-        u, s, vt = _svd(a)
-        cutoff = _RANK_TOLERANCE * s[0]
-        if s[-1] > cutoff:
-            return (vt.T @ u.T).T
-        keep = s > cutoff
-        return u[:, keep] @ vt[keep]
+        return _polar(*_svd(a))
     return _newton_schulz(a, norm, cfg.ns_iterations, DEFAULT_NS_COEFFICIENTS)
+
+
+def _polar(u: np.ndarray, s: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """U V^T over the singular triples of gesdd's ``(u, s, vt)`` above the rank cutoff."""
+    # U V^T is blind to sign flips of matched singular vectors, so gesdd's
+    # factors need no sign rule.  BLAS picks its kernel from the operand
+    # layout; (V U^T)^T rounds bit for bit like reduced_svd's U V^T.
+    cutoff = _RANK_TOLERANCE * s[0]
+    if s[-1] > cutoff:
+        return (vt.T @ u.T).T
+    keep = s > cutoff
+    return u[:, keep] @ vt[keep]
 
 
 def _newton_schulz(m: np.ndarray, norm: float, iterations: int, coeffs) -> np.ndarray:

@@ -7,11 +7,14 @@ gamma.  There is no hidden state beyond the counter, so sequences can be
 split, replayed, and consumed concurrently without contention, and the raw
 integer stream is identical on every platform.  The float transforms
 (uniforms, Box-Muller normals) are deterministic for a given libm build;
-``normal_rows`` draws the normals of many consecutive calls at once.
+``normal_rows`` draws the normals of many consecutive calls at once, and
+``draws`` the next uniforms or normals of many generators at once, from one
+raw pass and one Box-Muller pass over their concatenation.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +28,7 @@ _MIX2 = 0x94D049BB133111EB
 
 # uint64 forms for the vectorized path, where products wrap modulo 2**64.
 _GOLDEN64, _MIX1_64, _MIX2_64 = (np.uint64(k) for k in (_GOLDEN, _MIX1, _MIX2))
-_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
+_S11, _S27, _S30, _S31, _ONE64 = (np.uint64(k) for k in (11, 27, 30, 31, 1))
 
 # 2**-53: maps the top 53 bits of a u64 into (0, 1] after the +1 shift.
 _U53 = 1.0 / (1 << 53)
@@ -37,6 +40,28 @@ def _finalize(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return (z ^ (z >> 31)) & _MASK
+
+
+def _uniforms(bits: np.ndarray) -> np.ndarray:
+    """Doubles on (0, 1] from the top 53 bits of each u64 (shifts ``bits`` in place);
+    top + 1 <= 2**53 converts to float exactly, so this is (float(top) + 1) * 2**-53."""
+    bits >>= _S11
+    bits += _ONE64
+    return bits * _U53
+
+
+def _box_muller(radii: np.ndarray, angles: np.ndarray):
+    """Box-Muller pairs ``(r cos theta, r sin theta)`` from two equal-shape uniform arrays,
+    with r = sqrt(-2 ln radii) and theta = 2 pi angles (in place on the temporaries)."""
+    r = np.log(radii)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = (2.0 * np.pi) * angles
+    cos_part = np.cos(theta)
+    cos_part *= r
+    np.sin(theta, out=theta)
+    theta *= r
+    return cos_part, theta
 
 
 def _finalize_array(z: np.ndarray) -> np.ndarray:
@@ -81,9 +106,7 @@ class Rng:
 
     def uniforms(self, n: int) -> np.ndarray:
         """Draw ``n`` doubles uniform on (0, 1]."""
-        bits = self.raw64(n)
-        bits >>= _S11
-        return (bits.astype(np.float64) + 1.0) * _U53
+        return _uniforms(self.raw64(n))
 
     def normals(self, n: int) -> np.ndarray:
         """Draw ``n`` standard normals via Box-Muller on ``2 ceil(n/2)`` uniforms
@@ -96,9 +119,7 @@ class Rng:
         theirs would."""
         m = (n + 1) // 2
         u = self.uniforms(rows * 2 * m).reshape(rows, 2 * m)
-        r = np.sqrt(-2.0 * np.log(u[:, :m]))
-        theta = (2.0 * np.pi) * u[:, m:]
-        return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=1)[:, :n]
+        return np.concatenate(_box_muller(u[:, :m], u[:, m:]), axis=1)[:, :n]
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.normals(rows * cols).reshape(rows, cols)
@@ -118,3 +139,29 @@ class Rng:
     def substream(self, tag: int) -> "Rng":
         """Derive an independent child generator identified by ``tag``."""
         return Rng(seed=self._key, stream=tag)
+
+
+def draws(gens, counts, *, normal: bool) -> list[np.ndarray]:
+    """``[g.normals(n) if normal else g.uniforms(n) for g, n in zip(gens, counts)]`` for
+    distinct generators, bit for bit and leaving the same counters, from one raw pass and
+    one Box-Muller pass over the concatenation (numpy's elementwise log, sqrt, cos and
+    sin give a value the same bits wherever it sits in a contiguous array)."""
+    if min(counts, default=0) < 0:
+        raise InputError("draw count must be nonnegative")
+    halves = [(n + 1) // 2 for n in counts]
+    # Runs (generator, skip past its counter, length): the uniforms, or the radii then the angles.
+    runs = [(g, 0, n) for g, n in zip(gens, halves if normal else counts)]
+    runs += [(g, m, m) for g, m in zip(gens, halves)] if normal else []
+    edges = list(itertools.accumulate((n for *_, n in runs), initial=0))
+    # Element j of a run that starts at element e takes position counter + 1 + skip + j - e.
+    firsts = [(g._key + (g.counter + 1 + skip - e) * _GOLDEN) & _MASK for (g, skip, _), e in zip(runs, edges)]
+    for g, n, m in zip(gens, counts, halves):
+        g.counter = (g.counter + (2 * m if normal else n)) & _MASK
+    z = np.arange(edges[-1], dtype=np.uint64)
+    z *= _GOLDEN64
+    z += np.repeat(np.array(firsts, dtype=np.uint64), np.diff(edges))
+    u = _uniforms(_finalize_array(z))
+    if not normal:
+        return [u[a:b] for a, b in zip(edges, edges[1:])]
+    cos_part, sin_part = _box_muller(u[: edges[len(gens)]], u[edges[len(gens)] :])
+    return [np.concatenate([cos_part[a:b], sin_part[a:b]])[:n] for a, b, n in zip(edges, edges[1:], counts)]

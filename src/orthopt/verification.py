@@ -7,6 +7,11 @@ so reports are reproducible.  A NaN violation is the worst case: the first
 one becomes the report's ``max_violation`` and fails the check.  The array
 forms of the SNR, PHI_EPS and series checks give the bits of their scalar loops.
 
+The randomized checks run in trial blocks bounded by an entry budget: each
+draw comes for the whole block from one ``rng.draws``, a block's SNR
+recursions run on one stack (``snr_ratio`` is a batch of one), and one SVD per
+trace trial gives both sides.  ``run_all_checks`` builds 1 - mu^t once for both series.
+
 Checked statements:
 
 * SNR            the bias-corrected norm ratio ||m_hat|| / sqrt(v_hat) of an
@@ -30,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .linalg import inner_product, nuclear_norm
-from .orthogonalize import EXACT, orthogonalize
-from .rng import Rng
+from .linalg import _svd, inner_product
+from .orthogonalize import _polar
+from .rng import Rng, draws
 
 # Default pass thresholds: plain floating-point accumulation for the analytic
 # inequalities, an SVD-mediated budget for the trace inequality.
@@ -47,6 +52,16 @@ LEMMA_TOLERANCES = {
 # (mu1, mu2) pairs always exercised by the SNR check; random pairs fill the
 # remaining trials.
 SNR_MU_GRID = ((0.9, 0.9), (0.9, 0.99), (0.95, 0.99))
+
+# A block of randomized trials holds at most this many float64 entries at the largest
+# shapes its check allows (or one trial), so memory stays bounded for any shape maxima.
+# 2**16 was no faster on the verify_lemmas benchmark and raised its peak RSS by 0.6 MB.
+_BLOCK_ENTRIES = 2**15
+
+
+def _blocks(trials: int, entries_per_trial: int):
+    size = max(1, _BLOCK_ENTRIES // entries_per_trial)
+    return (range(first, min(trials, first + size)) for first in range(0, trials, size))
 
 
 @dataclass(frozen=True)
@@ -76,20 +91,33 @@ def _worse(violation: float, worst_violation: float) -> bool:
 
 def snr_ratio(g_stream: np.ndarray, mu1: float, mu2: float) -> float:
     """||m_hat_t|| / sqrt(v_hat_t) for the stream of vectors g_1..g_t, eps = 0."""
-    t = g_stream.shape[0]
-    m = np.zeros(g_stream.shape[1])
-    v = 0.0
-    # Every row's g.g in one stacked (1, d) @ (d, 1) matmul: per-row np.dot bits on a C-ordered stream.
-    squares = np.matmul(g_stream[:, None, :], g_stream[:, :, None]).ravel().tolist()
-    for scaled_g, g_sq in zip((1.0 - mu1) * g_stream, squares):
-        m *= mu1
-        m += scaled_g
-        v = mu2 * v + (1.0 - mu2) * g_sq
-    m_hat = m / (1.0 - mu1**t)
-    v_hat = v / (1.0 - mu2**t)
-    if v_hat == 0.0:
-        return 0.0
-    return float(np.sqrt(np.dot(m_hat, m_hat))) / math.sqrt(v_hat)
+    return _snr_ratios([g_stream], [mu1], [mu2])[0]
+
+
+def _snr_ratios(streams, mu1s, mu2s) -> list[float]:
+    """``snr_ratio`` of each (t, d) stream, the recursions run on one (steps, streams, dims + 1)
+    stack: right-aligned and zero-padded (a padded step keeps +0.0), with v in column ``dims``.
+    Each row dot g.g and each final norm is taken on the stream's own unpadded rows."""
+    steps, dims = max(g.shape[0] for g in streams), max(g.shape[1] for g in streams)
+    decay = np.repeat(np.array([mu1s, mu2s]).T, [dims, 1], axis=1)  # mu1 for m, mu2 for v
+    x = np.zeros((steps, len(streams), dims + 1))
+    for i, g in enumerate(streams):
+        t, d = g.shape
+        x[steps - t :, i, :d] = g
+        # Every row's g.g in one stacked (1, d) @ (d, 1) matmul: per-row np.dot bits on a C-ordered stream.
+        x[steps - t :, i, dims] = np.matmul(g[:, None, :], g[:, :, None]).ravel()
+    x *= 1.0 - decay
+    acc = np.zeros((len(streams), dims + 1))
+    for step in x:  # m <- mu1 m + (1 - mu1) g and v <- mu2 v + (1 - mu2) g.g
+        acc *= decay
+        acc += step
+    ratios = []
+    for g, mu1, mu2, row in zip(streams, mu1s, mu2s, acc):
+        t, d = g.shape
+        m_hat = row[:d] / (1.0 - mu1**t)
+        v_hat = float(row[dims]) / (1.0 - mu2**t)
+        ratios.append(0.0 if v_hat == 0.0 else float(np.sqrt(np.dot(m_hat, m_hat))) / math.sqrt(v_hat))
+    return ratios
 
 
 def check_snr_bound(
@@ -105,25 +133,33 @@ def check_snr_bound(
     if dims_max < 1 or t_max < 1:
         raise ConfigError(f"dims_max and t_max must be >= 1, got {dims_max=}, {t_max=}")
     worst = (-math.inf, None)  # (violation, inputs)
-    for trial in range(trials):
-        r = rng.substream(trial)
-        if trial < len(SNR_MU_GRID) or trial % 4 == 0:
-            mu1, mu2 = SNR_MU_GRID[trial % len(SNR_MU_GRID)]
-        else:
-            u = r.uniforms(2)
-            mu2 = 0.5 + 0.4999 * u[0]
-            mu1 = mu2 * u[1]
-        u = r.uniforms(3)
-        d = 1 + int(u[0] * dims_max) % dims_max
-        t = 1 + int(u[1] * t_max) % t_max
-        scale = 10.0 ** (6.0 * u[2] - 3.0)
-        g = r.normal_matrix(t, d) * scale
-        if trial % 7 == 3:
-            g[:] = g[0]  # constant stream: the tight case when mu1 == mu2
-        bound = math.sqrt((1.0 - mu1) / (1.0 - mu2)) * bound_scale
-        violation = snr_ratio(g, mu1, mu2) - bound
-        if _worse(violation, worst[0]):
-            worst = (violation, {"trial": trial, "mu1": mu1, "mu2": mu2, "dim": d, "t": t})
+    for block in _blocks(trials, t_max * (dims_max + 1)):
+        gens = [rng.substream(trial) for trial in block]
+        inputs, scales = [], []
+        # A random (mu1, mu2) takes two uniforms ahead of the stream's dim, length and scale.
+        counts = [3 if trial < len(SNR_MU_GRID) or trial % 4 == 0 else 5 for trial in block]
+        for trial, u in zip(block, draws(gens, counts, normal=False)):
+            if len(u) == 3:
+                mu1, mu2 = SNR_MU_GRID[trial % len(SNR_MU_GRID)]
+            else:
+                mu2 = 0.5 + 0.4999 * u[0]
+                mu1 = mu2 * u[1]
+            d = 1 + int(u[-3] * dims_max) % dims_max
+            t = 1 + int(u[-2] * t_max) % t_max
+            inputs.append({"trial": trial, "mu1": mu1, "mu2": mu2, "dim": d, "t": t})
+            scales.append(10.0 ** (6.0 * u[-1] - 3.0))
+        normals = draws(gens, [p["t"] * p["dim"] for p in inputs], normal=True)
+        streams = []
+        for z, p, scale in zip(normals, inputs, scales):
+            z *= scale
+            g = z.reshape(p["t"], p["dim"])
+            if p["trial"] % 7 == 3:
+                g[:] = g[0]  # constant stream: the tight case when mu1 == mu2
+            streams.append(g)
+        for p, ratio in zip(inputs, _snr_ratios(streams, [p["mu1"] for p in inputs], [p["mu2"] for p in inputs])):
+            violation = ratio - math.sqrt((1.0 - p["mu1"]) / (1.0 - p["mu2"])) * bound_scale
+            if _worse(violation, worst[0]):
+                worst = (violation, p)
     return _report("SNR", trials, *worst)
 
 
@@ -149,34 +185,39 @@ def check_phi_eps() -> LemmaReport:
 
 
 # The two series as (direct sum, closed-form bound) for each T of an ascending grid: the
-# terms up to the largest T are built once, with Python's libm pow (np.power does not match
-# it), and each sum is an fsum prefix.  For 0 < mu < 1, mu^t < e^-37.5 < 2^-54 once
-# t > 37.5 / -ln(mu), so with a pow within an ulp (glibc's) 1 - mu^t and the term are
-# exactly 1.0 from there on: _built stops there, and those terms are counted instead.
+# powers 1 - mu^t up to the largest T are built once, with Python's libm pow (np.power
+# does not match it), the terms follow with / and np.sqrt (correctly rounded, as in
+# scalar code), and each sum is an fsum prefix.  For 0 < mu < 1, mu^t < e^-37.5 < 2^-54
+# once t > 37.5 / -ln(mu), so with a pow within an ulp (glibc's) 1 - mu^t and the term
+# are exactly 1.0 from there on: _built stops there, and those terms are counted instead.
 def _built(mu: float, t_max: int) -> int:
     return min(t_max, int(37.5 / -math.log(mu))) if 0.0 < mu < 1.0 else t_max
 
 
-def _mut_sides(mu: float, t_grid) -> list[tuple[float, float]]:
-    terms = [1.0 / (1.0 - mu**t) for t in range(1, _built(mu, t_grid[-1]) + 1)]
+def _series_powers(mus, t_max: int) -> list[tuple[float, np.ndarray]]:
+    return [(mu, np.array([1.0 - mu**t for t in range(1, _built(mu, t_max) + 1)], dtype=np.float64)) for mu in mus]
+
+
+def _mut_sides(mu: float, one_minus: np.ndarray, t_grid) -> list[tuple[float, float]]:
+    terms = (1.0 / one_minus).tolist()
     return [(math.fsum([*terms[:n], max(0, n - len(terms))]),
              n + mu / (1.0 - mu) - math.log((1.0 - mu**n) / (1.0 - mu)) / math.log(mu)) for n in t_grid]
 
 
-def _mutsqrt_sides(mu: float, t_grid) -> list[tuple[float, float]]:
-    terms = [1.0 / math.sqrt(1.0 - mu**t) for t in range(1, _built(mu, t_grid[-1]) + 1)]
+def _mutsqrt_sides(mu: float, one_minus: np.ndarray, t_grid) -> list[tuple[float, float]]:
+    terms = (1.0 / np.sqrt(one_minus)).tolist()
     return [(math.fsum([*terms[:n], max(0, n - len(terms))]),
              n - 2.0 * math.log(1.0 + math.sqrt(1.0 - mu**n)) / math.log(mu)) for n in t_grid]
 
 
 def series_mut_sides(mu: float, t_steps: int) -> tuple[float, float]:
     """Direct sum and closed-form bound for sum 1/(1-mu^t)."""
-    return _mut_sides(mu, (t_steps,))[0]
+    return _mut_sides(*_series_powers([mu], t_steps)[0], (t_steps,))[0]
 
 
 def series_mutsqrt_sides(mu: float, t_steps: int) -> tuple[float, float]:
     """Direct sum and closed-form bound for sum 1/sqrt(1-mu^t)."""
-    return _mutsqrt_sides(mu, (t_steps,))[0]
+    return _mutsqrt_sides(*_series_powers([mu], t_steps)[0], (t_steps,))[0]
 
 
 _SERIES_MU_GRID = (0.5, 0.9, 0.99, 0.999)
@@ -191,10 +232,10 @@ def check_series_mutsqrt() -> LemmaReport:
     return _check_series("SERIES_MUTSQRT", _mutsqrt_sides)
 
 
-def _check_series(lemma_id: str, sides) -> LemmaReport:
+def _check_series(lemma_id: str, sides, powers=None) -> LemmaReport:
     worst = (-math.inf, None)  # (violation, inputs)
-    for mu in _SERIES_MU_GRID:
-        for t_steps, (lhs, rhs) in zip(_SERIES_T_GRID, sides(mu, _SERIES_T_GRID)):
+    for mu, one_minus in powers or _series_powers(_SERIES_MU_GRID, _SERIES_T_GRID[-1]):
+        for t_steps, (lhs, rhs) in zip(_SERIES_T_GRID, sides(mu, one_minus, _SERIES_T_GRID)):
             # Relative scaling keeps the check meaningful when both sides are
             # large (the T = 1 case is an exact equality up to roundoff).
             violation = (lhs - rhs) / max(1.0, abs(rhs))
@@ -211,26 +252,28 @@ def check_trace_inequality(trials: int, rng: Rng, dims_max=(16, 12)) -> LemmaRep
     if m_max < 2 or n_max < 2:
         raise ConfigError(f"both dims_max entries must be >= 2, got {dims_max=}")
     worst = (-math.inf, None)  # (violation, inputs)
-    for trial in range(trials):
-        r = rng.substream(trial)
-        u = r.uniforms(2)
-        m_rows = 2 + int(u[0] * (m_max - 1)) % (m_max - 1)
-        n_cols = 2 + int(u[1] * (n_max - 1)) % (n_max - 1)
-        mat = r.normal_matrix(m_rows, n_cols)
-        if trial % 11 == 1:
-            d = np.ones(n_cols)  # duality identity case
-        elif trial % 13 == 2:
-            d = np.zeros(n_cols)
-        else:
-            d = 2.0 * r.uniforms(n_cols)
-            if trial % 5 == 0:
-                d[trial % n_cols] = 0.0
-        o = orthogonalize(mat, EXACT)
-        lhs = inner_product(mat, o * d[np.newaxis, :])
-        rhs = float(np.min(d)) * nuclear_norm(mat)
-        violation = rhs - lhs
-        if _worse(violation, worst[0]):
-            worst = (violation, {"trial": trial, "rows": m_rows, "cols": n_cols, "d_min": float(np.min(d))})
+    for block in _blocks(trials, m_max * (n_max + 1)):
+        gens = [rng.substream(trial) for trial in block]
+        us = draws(gens, [2] * len(gens), normal=False)
+        shapes = [(2 + int(u[0] * (m_max - 1)) % (m_max - 1), 2 + int(u[1] * (n_max - 1)) % (n_max - 1)) for u in us]
+        mats = [z.reshape(shape) for z, shape in zip(draws(gens, [m * n for m, n in shapes], normal=True), shapes)]
+        # A diagonal is the last draw of a trial, so the duality-identity and zero cases may draw and drop it.
+        diagonals = draws(gens, [n for _, n in shapes], normal=False)
+        for trial, (m_rows, n_cols), mat, diagonal in zip(block, shapes, mats, diagonals):
+            if trial % 11 == 1:
+                d = np.ones(n_cols)  # duality identity case
+            elif trial % 13 == 2:
+                d = np.zeros(n_cols)
+            else:
+                d = 2.0 * diagonal
+                if trial % 5 == 0:
+                    d[trial % n_cols] = 0.0
+            # One SVD for both sides; a Gaussian matrix is never below orthogonalize's zero
+            # threshold, so its polar factor is orthogonalize(mat, EXACT).
+            u, s, vt = _svd(mat)
+            violation = float(np.min(d)) * float(np.sum(s)) - inner_product(mat, _polar(u, s, vt) * d[np.newaxis, :])
+            if _worse(violation, worst[0]):
+                worst = (violation, {"trial": trial, "rows": m_rows, "cols": n_cols, "d_min": float(np.min(d))})
     return _report("TRACE_OD", trials, *worst)
 
 
@@ -257,10 +300,11 @@ def estimate_rate_slope(records) -> float:
 def run_all_checks(trials: int, seed: int, bound_scale: float) -> list[LemmaReport]:
     """All five lemma checks with shared seeding, in a fixed order (``bound_scale`` as in the SNR check)."""
     rng = Rng(seed)
+    powers = _series_powers(_SERIES_MU_GRID, _SERIES_T_GRID[-1])  # shared by both series
     return [
         check_snr_bound(trials, rng.substream(1), bound_scale=bound_scale),
         check_phi_eps(),
-        check_series_mut(),
-        check_series_mutsqrt(),
+        _check_series("SERIES_MUT", _mut_sides, powers),
+        _check_series("SERIES_MUTSQRT", _mutsqrt_sides, powers),
         check_trace_inequality(trials, rng.substream(2)),
     ]

@@ -307,7 +307,10 @@ class TestVerifyLemmasCommand:
         assert not out.exists()
 
     def test_nan_violation_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(orthopt.verification, "snr_ratio", lambda g, mu1, mu2: float("nan"))
+        def nan_ratios(streams, mu1s, mu2s):
+            return [float("nan")] * len(streams)
+
+        monkeypatch.setattr(orthopt.verification, "_snr_ratios", nan_ratios)
         out = tmp_path / "out"
         code = main(["verify-lemmas", "--trials", "4", "--out", str(out)])
         assert code == EXIT_CHECK_FAILED

@@ -3,7 +3,7 @@ import pytest
 
 from orthopt import rng as rng_module
 from orthopt.errors import InputError
-from orthopt.rng import Rng
+from orthopt.rng import Rng, draws
 
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -91,6 +91,13 @@ class TestDistributions:
         assert np.all(u <= 1.0)
         assert abs(u.mean() - 0.5) < 0.005
 
+    @pytest.mark.parametrize("counter", [0, 2**64 - 9])
+    def test_uniforms_are_top_53_bits_plus_one_over_two_to_the_53(self, counter):
+        bits = Rng(13, counter=counter).raw64(4000)
+        want = ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+        assert Rng(13, counter=counter).uniforms(4000).tobytes() == want.tobytes()
+        assert rng_module._uniforms(np.array([0, 2**64 - 1], dtype=np.uint64)).tolist() == [2.0**-53, 1.0]
+
     def test_normals_moments(self):
         z = Rng(11).normals(400_000)
         assert abs(z.mean()) < 0.01
@@ -160,3 +167,55 @@ class TestSubstreams:
         before = r.counter
         r.substream(5)
         assert r.counter == before
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("normal", [False, True], ids=["uniforms", "normals"])
+    @pytest.mark.parametrize(
+        "counts",
+        [[], [0], [1], [0, 0], [7], [1, 0, 2, 3, 5, 8, 101, 48], [6400] * 5, [192] * 157],
+        ids=["none", "zero", "one", "zeros", "odd", "mixed", "snr-block", "trace-block"],
+    )
+    def test_draws_equal_per_generator_calls(self, normal, counts):
+        # counters small, large and near 2**64, so some draws cross the wrap
+        def generators():
+            return [Rng(8, stream=i, counter=(i, 2**40 + i, 2**64 - 3 - i)[i % 3]) for i in range(len(counts))]
+
+        batched, single = generators(), generators()
+        out = draws(batched, counts, normal=normal)
+        assert len(out) == len(counts)
+        for gen, ref, n, got in zip(batched, single, counts, out):
+            want = ref.normals(n) if normal else ref.uniforms(n)
+            assert got.shape == want.shape == (n,)
+            assert got.tobytes() == want.tobytes()
+            assert gen.counter == ref.counter
+            assert gen.raw64(3).tolist() == ref.raw64(3).tolist()
+
+    def test_counter_wraps_at_two_to_the_64(self):
+        gens = [Rng(5, stream=3, counter=2**64 - 200), Rng(5, stream=4, counter=2**64)]
+        got = draws(gens, [1000, 4], normal=False)
+        assert [g.counter for g in gens] == [800, 4]
+        ref = Rng(5, stream=3, counter=2**64 - 200)
+        assert got[0].tobytes() == ref.uniforms(1000).tobytes()
+        assert got[1].tobytes() == Rng(5, stream=4).uniforms(4).tobytes()
+
+    def test_negative_count_rejected(self):
+        gens = [Rng(0), Rng(1)]
+        with pytest.raises(InputError):
+            draws(gens, [3, -1], normal=True)
+        assert [g.counter for g in gens] == [0, 0]
+
+
+class TestElementwiseSlices:
+    # draws() runs Box-Muller once over many generators' uniforms, so each value
+    # must not depend on where in a contiguous array it sits
+    @pytest.mark.parametrize("fn", [np.log, np.sqrt, np.cos, np.sin], ids=lambda fn: fn.__name__)
+    def test_function_of_a_slice_equals_function_of_the_slice_alone(self, fn):
+        u = Rng(12).uniforms(3000)
+        x = {"log": u, "sqrt": -2.0 * np.log(u)}.get(fn.__name__, (2.0 * np.pi) * u)
+        whole = fn(x)
+        for start in range(0, 40):
+            for stop in (start + k for k in (0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100, 1001, 2960)):
+                want = whole[start:stop].tobytes()
+                assert fn(x[start:stop]).tobytes() == want, (start, stop)
+                assert fn(x[start:stop].copy()).tobytes() == want, (start, stop)

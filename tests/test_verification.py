@@ -2,6 +2,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from orthopt.verification import (
     check_snr_bound,
     check_trace_inequality,
     estimate_rate_slope,
+    run_all_checks,
     series_mut_sides,
     series_mutsqrt_sides,
     snr_ratio,
@@ -257,6 +259,90 @@ def scalar_check_series(lemma_id, sides, mu_grid=SERIES_MU_GRID, t_grid=SERIES_T
     return lemma_id, trials, _bits(worst_violation), json.dumps(worst, sort_keys=True)
 
 
+# The randomized checks as per-trial loops, one substream's draws, one
+# recursion and one orthogonalize/nuclear_norm pair at a time: the blocked
+# checks must report the same bits.
+
+
+def reference_check_snr_bound(trials, rng, dims_max=64, t_max=100, bound_scale=1.0):
+    worst_violation, worst = -math.inf, None
+    for trial in range(trials):
+        r = rng.substream(trial)
+        if trial < len(SNR_MU_GRID) or trial % 4 == 0:
+            mu1, mu2 = SNR_MU_GRID[trial % len(SNR_MU_GRID)]
+        else:
+            u = r.uniforms(2)
+            mu2 = 0.5 + 0.4999 * u[0]
+            mu1 = mu2 * u[1]
+        u = r.uniforms(3)
+        d = 1 + int(u[0] * dims_max) % dims_max
+        t = 1 + int(u[1] * t_max) % t_max
+        scale = 10.0 ** (6.0 * u[2] - 3.0)
+        g = r.normal_matrix(t, d) * scale
+        if trial % 7 == 3:
+            g[:] = g[0]
+        bound = math.sqrt((1.0 - mu1) / (1.0 - mu2)) * bound_scale
+        violation = scalar_snr_ratio(g, mu1, mu2) - bound
+        if _replaces(violation, worst_violation):
+            worst_violation = violation
+            worst = {"trial": trial, "mu1": mu1, "mu2": mu2, "dim": d, "t": t}
+    return "SNR", trials, _bits(worst_violation), json.dumps(worst, sort_keys=True)
+
+
+def reference_check_trace_inequality(trials, rng, dims_max=(16, 12)):
+    from orthopt.linalg import inner_product, nuclear_norm
+    from orthopt.orthogonalize import EXACT, orthogonalize
+
+    m_max, n_max = dims_max
+    worst_violation, worst = -math.inf, None
+    for trial in range(trials):
+        r = rng.substream(trial)
+        u = r.uniforms(2)
+        m_rows = 2 + int(u[0] * (m_max - 1)) % (m_max - 1)
+        n_cols = 2 + int(u[1] * (n_max - 1)) % (n_max - 1)
+        mat = r.normal_matrix(m_rows, n_cols)
+        if trial % 11 == 1:
+            d = np.ones(n_cols)
+        elif trial % 13 == 2:
+            d = np.zeros(n_cols)
+        else:
+            d = 2.0 * r.uniforms(n_cols)
+            if trial % 5 == 0:
+                d[trial % n_cols] = 0.0
+        lhs = inner_product(mat, orthogonalize(mat, EXACT) * d[np.newaxis, :])
+        violation = float(np.min(d)) * nuclear_norm(mat) - lhs
+        if _replaces(violation, worst_violation):
+            worst_violation = violation
+            worst = {"trial": trial, "rows": m_rows, "cols": n_cols, "d_min": float(np.min(d))}
+    return "TRACE_OD", trials, _bits(worst_violation), json.dumps(worst, sort_keys=True)
+
+
+def trial_counts(block):
+    """1, 2 and 300 trials, and a block's size give or take one where that stays near 300."""
+    return sorted({1, 2, 300} | ({block - 1, block, block + 1} - {0} if block <= 400 else set()))
+
+
+def snr_block(dims_max=64, t_max=100):
+    return max(1, verification._BLOCK_ENTRIES // (t_max * (dims_max + 1)))
+
+
+def trace_block(dims_max=(16, 12)):
+    return max(1, verification._BLOCK_ENTRIES // (dims_max[0] * (dims_max[1] + 1)))
+
+
+def recorded_snr_ratios(monkeypatch):
+    """Record every _snr_ratios call as (streams, mu1s, mu2s, ratios)."""
+    calls = []
+    real = verification._snr_ratios
+
+    def recorded(streams, mu1s, mu2s):
+        calls.append(([g.copy() for g in streams], list(mu1s), list(mu2s), real(streams, mu1s, mu2s)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(verification, "_snr_ratios", recorded)
+    return calls
+
+
 class TestMatchesScalarReferences:
     def test_stacked_row_dot_matches_per_row_dot(self):
         # snr_ratio takes every g.g from one stacked matmul; pin it against
@@ -296,19 +382,48 @@ class TestMatchesScalarReferences:
         assert mismatches == []
 
     def test_snr_check_matches_scalar_recursion(self, monkeypatch):
-        calls = []
+        # trial counts on both sides of a block boundary
+        for trials in (snr_block() - 1, snr_block(), snr_block() + 1, 120):
+            with monkeypatch.context() as patch:
+                calls = recorded_snr_ratios(patch)
+                arrays = check_snr_bound(trials=trials, rng=Rng(4))
+            assert sum(len(streams) for streams, *_ in calls) == trials
+            # every trial, not only the worst one the report keeps
+            got = [_bits(ratio) for *_, ratios in calls for ratio in ratios]
+            want = [_bits(scalar_snr_ratio(*args)) for streams, *mus, _ in calls for args in zip(streams, *mus)]
+            assert got == want, trials
+            with monkeypatch.context() as patch:
+                patch.setattr(verification, "_snr_ratios", lambda *args: [*map(scalar_snr_ratio, *args)])
+                scalar = check_snr_bound(trials=trials, rng=Rng(4))
+            assert _report_bits(arrays) == _report_bits(scalar), trials
 
-        def recorded(g, mu1, mu2):
-            calls.append((g.copy(), mu1, mu2, snr_ratio(g, mu1, mu2)))
-            return calls[-1][-1]
+    @pytest.mark.parametrize(
+        "seed, dims_max, t_max",
+        [(0, 64, 100), (7, 64, 100), (2026, 64, 100), (0, 7, 13), (7, 7, 13), (2026, 1, 1), (0, 600, 60)],
+    )
+    def test_snr_reports_match_per_trial_loop(self, seed, dims_max, t_max):
+        for trials in trial_counts(snr_block(dims_max, t_max)):
+            kwargs = {} if (dims_max, t_max) == (64, 100) else {"dims_max": dims_max, "t_max": t_max}
+            got = check_snr_bound(trials=trials, rng=Rng(seed).substream(1), **kwargs)
+            want = reference_check_snr_bound(trials, Rng(seed).substream(1), dims_max, t_max)
+            assert _report_bits(got) == want, trials
+        got = check_snr_bound(trials=40, rng=Rng(seed), bound_scale=0.5)
+        assert _report_bits(got) == reference_check_snr_bound(40, Rng(seed), bound_scale=0.5)
 
-        monkeypatch.setattr(verification, "snr_ratio", recorded)
-        arrays = check_snr_bound(trials=120, rng=Rng(4))
-        assert len(calls) == 120
-        # every trial, not only the worst one the report keeps
-        assert [_bits(ratio) for *_, ratio in calls] == [_bits(scalar_snr_ratio(*call[:3])) for call in calls]
-        monkeypatch.setattr(verification, "snr_ratio", scalar_snr_ratio)
-        assert _report_bits(arrays) == _report_bits(check_snr_bound(trials=120, rng=Rng(4)))
+    @pytest.mark.parametrize(
+        "seed, dims_max", [(0, (16, 12)), (7, (16, 12)), (2026, (16, 12)), (0, (5, 3)), (7, (2, 2)), (2026, (40, 30))]
+    )
+    def test_trace_reports_match_per_trial_loop(self, seed, dims_max):
+        for trials in trial_counts(trace_block(dims_max)):
+            kwargs = {} if dims_max == (16, 12) else {"dims_max": dims_max}
+            got = check_trace_inequality(trials=trials, rng=Rng(seed).substream(2), **kwargs)
+            want = reference_check_trace_inequality(trials, Rng(seed).substream(2), dims_max)
+            assert _report_bits(got) == want, trials
+
+    def test_run_all_checks_series_match_scalar_checks(self):
+        reports = run_all_checks(trials=3, seed=0, bound_scale=1.0)
+        assert _report_bits(reports[2]) == scalar_check_series("SERIES_MUT", scalar_series_mut_sides)
+        assert _report_bits(reports[3]) == scalar_check_series("SERIES_MUTSQRT", scalar_series_mutsqrt_sides)
 
     @pytest.mark.parametrize("mu", [0.5, 0.9, 0.99, 0.999, 0.3141, 0.77, 0.9876, 0.9967, 1e-6, 1e-300])
     def test_series_sides_match_scalar_sums(self, mu):
@@ -393,16 +508,48 @@ class TestConfigErrorsAndNan:
 
     def test_first_nan_snr_violation_is_the_worst(self, monkeypatch):
         ratios = iter([0.5, math.nan, 2.0, math.nan, 9.0])
-        monkeypatch.setattr(verification, "snr_ratio", lambda g, mu1, mu2: next(ratios))
+        monkeypatch.setattr(verification, "_snr_ratios", lambda streams, mu1s, mu2s: [next(ratios) for _ in streams])
         report = check_snr_bound(trials=5, rng=Rng(0))
         assert math.isnan(report.max_violation)
         assert json.loads(report.worst_case_inputs)["trial"] == 1
         assert not report.passed()
 
     def test_first_nan_trace_violation_is_the_worst(self, monkeypatch):
-        norms = iter([1.0, 1.0, math.nan, 1.0, math.nan])
-        monkeypatch.setattr(verification, "nuclear_norm", lambda mat: next(norms))
+        # a NaN singular value makes that trial's nuclear norm, and so its violation, NaN
+        factors = iter([1.0, 1.0, math.nan, 1.0, math.nan])
+        real_svd = verification._svd
+
+        def svd(mat):
+            u, s, vt = real_svd(mat)
+            return u, s * next(factors), vt
+
+        monkeypatch.setattr(verification, "_svd", svd)
         report = check_trace_inequality(trials=5, rng=Rng(0))
         assert math.isnan(report.max_violation)
         assert json.loads(report.worst_case_inputs)["trial"] == 2
         assert not report.passed()
+
+
+class TestBlocksAndMemory:
+    def test_snr_blocks_shrink_to_one_trial_for_large_shapes(self, monkeypatch):
+        calls = recorded_snr_ratios(monkeypatch)
+        check_snr_bound(trials=4, rng=Rng(0), dims_max=4096, t_max=100)
+        assert [len(streams) for streams, *_ in calls] == [1, 1, 1, 1]
+
+    def test_default_blocks_hold_several_trials(self, monkeypatch):
+        calls = recorded_snr_ratios(monkeypatch)
+        check_snr_bound(trials=32, rng=Rng(0))
+        block = snr_block()
+        assert block > 1
+        assert [len(streams) for streams, *_ in calls] == [block] * (32 // block) + [32 % block] * (32 % block > 0)
+
+    def test_thousand_trial_run_stays_within_memory_bound(self):
+        run_all_checks(trials=3, seed=0, bound_scale=1.0)  # import-time and first-call allocations
+        tracemalloc.start()
+        try:
+            run_all_checks(trials=1000, seed=2026, bound_scale=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # per-trial loops peaked at 0.49 MB and blocks of 2**15 entries at 0.75 MB; 2**18 fails
+        assert peak < 1_000_000, peak
