@@ -68,6 +68,12 @@ def invocations():
         yield f"run mlp 16,64,64,8 {optimizer} newton_schulz minibatch=32", ["run"], MLP_BENCH.format(
             optimizer=optimizer
         )
+    # b = 5: least squares scales by k / b = 12 / 5, which is inexact, so a reordering shows.
+    for problem, dims in (("matrix_least_squares", "8,6,12"), ("mlp", "4,8,2")):
+        yield f"run {problem} namo_d exact minibatch=5", ["run"], (
+            f"[run]\nproblem = {problem}\ndims = {dims}\noptimizer = namo_d\nsteps = 40\n"
+            "orth_method = exact\nrepeats = 2\nnoise_kind = minibatch\nbatch_size = 5\n"
+        )
     for optimizer in OPTIMIZERS:
         rates = ["rates", "--problem", "matrix_least_squares", "--optimizer", optimizer, "--T", "16,32,64"]
         yield f"rates det {optimizer}", [*rates, "--regime", "det"], None
