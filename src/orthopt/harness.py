@@ -104,6 +104,8 @@ class RunConfig:
             raise ConfigError(f"unknown optimizer id: {self.optimizer!r}")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
+        if self.dataset_size < 1:
+            raise ConfigError("dataset_size must be positive")
         if not 0 <= self.warmup_steps < self.steps:
             raise ConfigError("warmup_steps must satisfy 0 <= warmup_steps < steps")
         if not effective_eta(self.hyper.eta, 1, self.warmup_steps) > 0.0:

@@ -1,15 +1,15 @@
 """Synthetic optimization problems with analytic gradients and noise oracles.
 
-Each factory returns an immutable ``Problem`` carrying the loss, its analytic
-gradient, a seeded initial iterate, and (where a dataset exists) a minibatch
-gradient hook.  ``loss_and_grad``, which every problem needs, is the fused
-oracle: one residual or forward pass gives both values, and ``loss`` and
-``grad`` are its two halves.  Parameter shapes are read off the initial iterate.
-``stochastic_grad`` wraps a problem's gradient in either additive Gaussian
-noise calibrated so the aggregate squared Frobenius deviation is exactly
-sigma^2 / b in expectation, or minibatch subsampling.  It is one call of the
-oracle that ``harness.run`` builds once per run, which draws additive noise
-per block of steps, each row bitwise the draw of a per-step call.
+Each factory writes one oracle, ``loss_and_grad(params, rows=None)``: one
+residual or forward pass gives the loss and its gradient, on the full data or,
+where a dataset exists, as the unbiased estimate from the data rows ``rows``.
+``_problem`` builds every ``Problem`` from it, so ``loss``, ``grad`` and
+``minibatch_grad`` are views of that one function.  Parameter shapes are read
+off the initial iterate.  ``stochastic_grad`` wraps a problem's gradient in
+either additive Gaussian noise calibrated so the aggregate squared Frobenius
+deviation is exactly sigma^2 / b in expectation, or minibatch subsampling.  It
+is one call of the oracle that ``harness.run`` builds once per run, which draws
+additive noise per block of steps, each row bitwise the draw of a per-step call.
 All randomness flows through the counter-based ``Rng``, so every draw is a
 pure function of (seed, stream, counter).
 """
@@ -48,16 +48,18 @@ _FACTORIZATION_SPECTRAL = 3.0
 class Problem:
     """A differentiable objective over array parameters shaped as ``theta0``.
 
-    ``loss_and_grad`` (required: ``harness.run`` steps on it) is bitwise equal
-    to ``(loss(p), grad(p))`` from one evaluation; ``params_spec`` is derived.
-    An MLP problem's oracle reuses work buffers it owns, so it must not be
-    evaluated from two threads at once (``harness.run`` builds one per run).
+    ``loss_and_grad(params, rows=None)`` is the oracle: the loss and gradient
+    on the full data or, given ``rows`` (a 1-D array of distinct data rows),
+    their unbiased estimate from those rows.  ``loss``, ``grad`` and
+    ``minibatch_grad`` (``None`` without data) are its views, bit for bit.  An
+    MLP problem's full-data oracle reuses work buffers it owns, so it must not
+    be evaluated from two threads at once (``harness.run`` builds one per run).
     """
 
     name: str
     loss: Callable[[list[np.ndarray]], float]
     grad: Callable[[list[np.ndarray]], list[np.ndarray]]
-    loss_and_grad: Callable[[list[np.ndarray]], tuple[float, list[np.ndarray]]]
+    loss_and_grad: Callable[..., tuple[float, list[np.ndarray]]]
     theta0: tuple[np.ndarray, ...]
     minibatch_grad: Optional[Callable[[list[np.ndarray], np.ndarray], list[np.ndarray]]] = None
     dataset_size: Optional[int] = None
@@ -107,25 +109,15 @@ def make_matrix_least_squares(m: int, n: int, k: int, seed: int) -> Problem:
     y = x @ theta_star + 0.2 * rng.normal_matrix(k, n)
     theta0 = rng.normal_matrix(m, n) * (0.5 / np.sqrt(m))
 
-    def loss_and_grad(params: list[np.ndarray]):
-        r = x @ params[0] - y
-        return 0.5 * float(np.add.reduce(r * r, axis=None)), [x.T @ r]
+    def loss_and_grad(params: list[np.ndarray], rows: Optional[np.ndarray] = None):
+        xs, ys = (x, y) if rows is None else (x[rows], y[rows])
+        r = xs @ params[0] - ys
+        loss, grad = 0.5 * float(np.add.reduce(r * r, axis=None)), xs.T @ r
+        if rows is None:
+            return loss, [grad]
+        return (k / rows.size) * loss, [(k / rows.size) * grad]  # b rows' sums estimate the k rows'
 
-    def minibatch_grad(params: list[np.ndarray], indices: np.ndarray) -> list[np.ndarray]:
-        xs = x[indices]
-        rs = xs @ params[0] - y[indices]
-        return [(k / indices.size) * (xs.T @ rs)]
-
-    return Problem(
-        name="matrix_least_squares",
-        loss=lambda p: loss_and_grad(p)[0],
-        grad=lambda p: loss_and_grad(p)[1],
-        loss_and_grad=loss_and_grad,
-        theta0=(theta0,),
-        minibatch_grad=minibatch_grad,
-        dataset_size=k,
-        data={"X": x, "Y": y},
-    )
+    return _problem("matrix_least_squares", loss_and_grad, (theta0,), {"X": x, "Y": y}, dataset_size=k)
 
 
 def make_matrix_factorization(m: int, r: int, n: int, seed: int) -> Problem:
@@ -147,14 +139,7 @@ def make_matrix_factorization(m: int, r: int, n: int, seed: int) -> Problem:
         res = params[0] @ params[1] - c
         return 0.5 * float(np.add.reduce(res * res, axis=None)), [res @ params[1].T, params[0].T @ res]
 
-    return Problem(
-        name="matrix_factorization",
-        loss=lambda p: loss_and_grad(p)[0],
-        grad=lambda p: loss_and_grad(p)[1],
-        loss_and_grad=loss_and_grad,
-        theta0=(a0, b0),
-        data={"A_star": a_star, "B_star": b_star, "C": c},
-    )
+    return _problem("matrix_factorization", loss_and_grad, (a0, b0), {"A_star": a_star, "B_star": b_star, "C": c})
 
 
 def make_mlp_problem(layer_dims, dataset_size: int, seed: int) -> Problem:
@@ -193,11 +178,15 @@ def make_mlp_problem(layer_dims, dataset_size: int, seed: int) -> Problem:
     y_data = _mlp_forward(teacher, x_data, hidden)
     theta0 = draw_params(rng, 0.5)
 
-    def loss_and_grad_on(params, xs, ys, hidden, deltas):
-        err = _mlp_forward(params, xs, hidden)
+    def loss_and_grad(params: list[np.ndarray], rows: Optional[np.ndarray] = None):
+        if rows is None:
+            xs, ys, hid, dels = x_data, y_data, hidden, deltas
+        else:  # a b-row mean estimates the full mean unscaled; fresh (b, width) buffers
+            xs, ys, hid, dels = x_data[rows], y_data[rows], work(rows.size), work(rows.size)
+        err = _mlp_forward(params, xs, hid)
         err -= ys
         delta = err / xs.shape[0]
-        acts = [xs, *hidden]
+        acts = [xs, *hid]
         grads: list[np.ndarray] = [np.zeros(0)] * (2 * n_layers)
         for l in range(n_layers - 1, -1, -1):
             grads[2 * l] = acts[l].T @ delta
@@ -206,26 +195,24 @@ def make_mlp_problem(layer_dims, dataset_size: int, seed: int) -> Problem:
                 a = acts[l]
                 np.square(a, out=a)
                 np.subtract(1.0, a, out=a)
-                delta = np.matmul(delta, params[2 * l].T, out=deltas[l - 1])
+                delta = np.matmul(delta, params[2 * l].T, out=dels[l - 1])
                 delta *= a
         return 0.5 * float(np.add.reduce(err**2, axis=None)) / xs.shape[0], grads
 
-    def loss_and_grad(params: list[np.ndarray]):
-        return loss_and_grad_on(params, x_data, y_data, hidden, deltas)
+    return _problem("mlp", loss_and_grad, theta0, {"X": x_data, "Y": y_data}, dataset_size=dataset_size)
 
-    def minibatch_grad(params: list[np.ndarray], indices: np.ndarray) -> list[np.ndarray]:
-        b = indices.size
-        return loss_and_grad_on(params, x_data[indices], y_data[indices], work(b), work(b))[1]
 
+def _problem(name: str, loss_and_grad, theta0, data: dict, dataset_size: Optional[int] = None) -> Problem:
+    """The ``Problem`` over ``loss_and_grad``, which takes ``rows`` iff ``dataset_size`` is set."""
     return Problem(
-        name="mlp",
+        name=name,
         loss=lambda p: loss_and_grad(p)[0],
         grad=lambda p: loss_and_grad(p)[1],
         loss_and_grad=loss_and_grad,
         theta0=tuple(theta0),
-        minibatch_grad=minibatch_grad,
+        minibatch_grad=None if dataset_size is None else lambda p, rows: loss_and_grad(p, rows)[1],
         dataset_size=dataset_size,
-        data={"X": x_data, "Y": y_data},
+        data=data,
     )
 
 

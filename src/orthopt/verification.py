@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .linalg import _svd, inner_product
+from .linalg import _svd
 from .orthogonalize import _polar
 from .rng import Rng, draws
 
@@ -271,7 +271,8 @@ def check_trace_inequality(trials: int, rng: Rng, dims_max=(16, 12)) -> LemmaRep
             # One SVD for both sides; a Gaussian matrix is never below orthogonalize's zero
             # threshold, so its polar factor is orthogonalize(mat, EXACT).
             u, s, vt = _svd(mat)
-            violation = float(np.min(d)) * float(np.sum(s)) - inner_product(mat, _polar(u, s, vt) * d[np.newaxis, :])
+            aligned = np.ascontiguousarray(_polar(u, s, vt) * d[np.newaxis, :])  # F order moves the sum's bits
+            violation = float(np.min(d)) * float(np.sum(s)) - float(np.sum(mat * aligned))
             if _worse(violation, worst[0]):
                 worst = (violation, {"trial": trial, "rows": m_rows, "cols": n_cols, "d_min": float(np.min(d))})
     return _report("TRACE_OD", trials, *worst)

@@ -701,11 +701,18 @@ def test_namo_and_muon_share_momentum_semantics():
 
 
 @pytest.mark.parametrize(
-    "problem,dims",
-    [("matrix_least_squares", (4, 3, 6)), ("matrix_factorization", (6, 2, 5)), ("mlp", (4, 6, 3))],
+    "problem,dims,batch_size",
+    [
+        pytest.param("matrix_least_squares", (4, 3, 6), None, id="matrix_least_squares-dims0"),
+        pytest.param("matrix_factorization", (6, 2, 5), None, id="matrix_factorization-dims1"),
+        pytest.param("mlp", (4, 6, 3), None, id="mlp-dims2"),
+        pytest.param("matrix_least_squares", (4, 3, 12), 5, id="matrix_least_squares-minibatch"),
+        pytest.param("mlp", (4, 6, 3), 5, id="mlp-minibatch"),
+    ],
 )
-def test_additive_noise_run_evaluates_problem_once_per_step(monkeypatch, problem, dims):
-    # one gradient at theta_0, then one fused loss_and_grad per step
+def test_additive_noise_run_evaluates_problem_once_per_step(monkeypatch, problem, dims, batch_size):
+    # one gradient at theta_0, then one fused loss_and_grad per step, and with
+    # minibatch noise (b below the dataset size) one minibatch gradient per step
     counts = Counter()
     make_problem = harness.make_problem
 
@@ -723,9 +730,14 @@ def test_additive_noise_run_evaluates_problem_once_per_step(monkeypatch, problem
 
     monkeypatch.setattr(harness, "make_problem", counting_make_problem)
     steps = 12
-    cfg = small_config("namo_d", steps=steps, problem=problem, problem_dims=dims, noise=NoiseModel(sigma=0.5))
+    if batch_size is None:
+        noise, want = NoiseModel(sigma=0.5), Counter(grad=1, loss_and_grad=steps)
+    else:
+        noise = NoiseModel(batch_size=batch_size, kind=NoiseKind.MINIBATCH)
+        want = Counter(grad=1, loss_and_grad=steps, minibatch_grad=steps)
+    cfg = small_config("namo_d", steps=steps, problem=problem, problem_dims=dims, noise=noise)
     assert run(cfg).status == STATUS_OK
-    assert sum(counts.values()) <= steps + 1
+    assert counts == want
 
 
 @pytest.mark.parametrize(

@@ -62,6 +62,22 @@ class TestMatrixLeastSquares:
         got = stochastic_grad(self.problem, params, noise, Rng(0))
         np.testing.assert_array_equal(got[0], self.problem.grad(params)[0])
 
+    @pytest.mark.parametrize("b", [1, 5, 7, 8, 11, 12])
+    def test_minibatch_oracle_is_k_over_b_times_the_row_sums(self, b):
+        # k / b is inexact at b = 5, 7 and 11, so a reordered scale would show
+        k = 12
+        problem = make_matrix_least_squares(5, 4, k, seed=3)
+        x, y = problem.data["X"], problem.data["Y"]
+        rng = Rng(b)
+        for _ in range(3):
+            params = [rng.normal_matrix(5, 4)]
+            rows = rng.sample_without_replacement(k, b)
+            r = x[rows] @ params[0] - y[rows]
+            loss, (g,) = problem.loss_and_grad(params, rows)
+            np.testing.assert_array_equal(g, (k / b) * (x[rows].T @ r))
+            np.testing.assert_array_equal(problem.minibatch_grad(params, rows)[0], g)
+            assert loss == (k / b) * (0.5 * float(np.add.reduce(r * r, axis=None)))
+
     def test_minibatch_is_unbiased(self):
         params = self.problem.initial_params()
         (full,) = self.problem.grad(params)
@@ -326,3 +342,10 @@ def test_loss_and_grad_is_bitwise_loss_and_grad(problem):
     assert loss == problem.loss(params)
     for fused, alone in zip(grads, problem.grad(params), strict=True):
         np.testing.assert_array_equal(fused, alone)
+    assert (problem.minibatch_grad is None) == (problem.dataset_size is None)
+    if problem.dataset_size is not None:
+        for b in (1, 3, problem.dataset_size):
+            rows = rng.sample_without_replacement(problem.dataset_size, b)
+            fused = problem.loss_and_grad(params, rows)[1]
+            for f, m in zip(fused, problem.minibatch_grad(params, rows), strict=True):
+                np.testing.assert_array_equal(f, m)
