@@ -2,6 +2,7 @@
 
 Subcommands: ``run``, ``sweep``, ``rates``, ``verify-lemmas``, ``batch-adapt``.
 Exit codes: 0 success, 1 config error, 2 lemma/acceptance failure, 3 I/O error.
+In-process callers of ``main`` share one parser per process.
 """
 
 from __future__ import annotations
@@ -47,12 +48,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _numbers(cast, text: str) -> list:
+    values = [cast(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return values
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    return _numbers(int, text)
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+    return _numbers(float, text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,6 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--out", required=True)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: ``parse_args`` keeps no state from one call to the next."""
+    return build_parser()
 
 
 def _ensure_outdir(path: str) -> None:
@@ -250,9 +264,8 @@ def _pin_blas_to_one_thread() -> None:
 
 def main(argv=None) -> int:
     _pin_blas_to_one_thread()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

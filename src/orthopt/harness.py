@@ -567,10 +567,10 @@ def batch_adaptation_experiment(
 ) -> BatchAdaptResult:
     """Mean final averaged gradient norm per batch size, stochastic schedule."""
     b_list = [int(b) for b in b_list]
-    if any(b2 <= b1 for b1, b2 in zip(b_list, b_list[1:])):
-        raise ConfigError("b_list must be strictly increasing")
-    if len(seeds) < 3:
-        raise ConfigError("need at least 3 seeds")
+    if not b_list or any(b2 <= b1 for b1, b2 in zip(b_list, b_list[1:])):
+        raise ConfigError("b_list must be non-empty and strictly increasing")
+    if len({int(s) for s in seeds}) < 3:
+        raise ConfigError("need at least 3 distinct seeds")
     rows: list[tuple[int, float]] = []
     for b in b_list:
         finals = []

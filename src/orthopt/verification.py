@@ -10,7 +10,8 @@ forms of the SNR, PHI_EPS and series checks give the bits of their scalar loops.
 The randomized checks run in trial blocks bounded by an entry budget: each
 draw comes for the whole block from one ``rng.draws``, a block's SNR
 recursions run on one stack (``snr_ratio`` is a batch of one), and one SVD per
-trace trial gives both sides.  ``run_all_checks`` builds 1 - mu^t once for both series.
+trace trial gives both sides.  The series checks build 1 - mu^t once per process for
+the module grid.
 
 Checked statements:
 
@@ -28,6 +29,7 @@ Checked statements:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -53,9 +55,10 @@ LEMMA_TOLERANCES = {
 # remaining trials.
 SNR_MU_GRID = ((0.9, 0.9), (0.9, 0.99), (0.95, 0.99))
 
-# A block of randomized trials holds at most this many float64 entries at the largest
-# shapes its check allows (or one trial), so memory stays bounded for any shape maxima.
-# 2**16 was no faster on the verify_lemmas benchmark and raised its peak RSS by 0.6 MB.
+# A block of randomized trials holds at most this many float64 entries at the largest shapes its check
+# allows (or one trial), so memory stays bounded for any shape maxima.  The binding limit is the tests' 1 MB
+# tracemalloc peak for run_all_checks(1000): 0.75 / 1.04 / 1.32 MB at 2**15 / 3 * 2**14 / 2**16.  The SNR
+# check at 32 trials took 5.7 / 4.0 / 3.7 / 2.95 ms at 2**15 / 2**16 / 2**17 / 2**18 (best of 3 x 150 calls).
 _BLOCK_ENTRIES = 2**15
 
 
@@ -210,6 +213,15 @@ def _mutsqrt_sides(mu: float, one_minus: np.ndarray, t_grid) -> list[tuple[float
              n - 2.0 * math.log(1.0 + math.sqrt(1.0 - mu**n)) / math.log(mu)) for n in t_grid]
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_powers(mus, t_max: int) -> tuple[tuple[float, np.ndarray], ...]:
+    """``_series_powers`` of the module grid, kept read-only for the process (about 113 KB)."""
+    powers = _series_powers(mus, t_max)
+    for _, one_minus in powers:
+        one_minus.flags.writeable = False
+    return tuple(powers)
+
+
 def series_mut_sides(mu: float, t_steps: int) -> tuple[float, float]:
     """Direct sum and closed-form bound for sum 1/(1-mu^t)."""
     return _mut_sides(*_series_powers([mu], t_steps)[0], (t_steps,))[0]
@@ -232,9 +244,9 @@ def check_series_mutsqrt() -> LemmaReport:
     return _check_series("SERIES_MUTSQRT", _mutsqrt_sides)
 
 
-def _check_series(lemma_id: str, sides, powers=None) -> LemmaReport:
+def _check_series(lemma_id: str, sides) -> LemmaReport:
     worst = (-math.inf, None)  # (violation, inputs)
-    for mu, one_minus in powers or _series_powers(_SERIES_MU_GRID, _SERIES_T_GRID[-1]):
+    for mu, one_minus in _grid_powers(_SERIES_MU_GRID, _SERIES_T_GRID[-1]):
         for t_steps, (lhs, rhs) in zip(_SERIES_T_GRID, sides(mu, one_minus, _SERIES_T_GRID)):
             # Relative scaling keeps the check meaningful when both sides are
             # large (the T = 1 case is an exact equality up to roundoff).
@@ -272,9 +284,10 @@ def check_trace_inequality(trials: int, rng: Rng, dims_max=(16, 12)) -> LemmaRep
             # threshold, so its polar factor is orthogonalize(mat, EXACT).
             u, s, vt = _svd(mat)
             aligned = np.ascontiguousarray(_polar(u, s, vt) * d[np.newaxis, :])  # F order moves the sum's bits
-            violation = float(np.min(d)) * float(np.sum(s)) - float(np.sum(mat * aligned))
+            d_min = float(np.minimum.reduce(d))  # the reductions np.min and np.sum call
+            violation = d_min * float(np.add.reduce(s)) - float(np.add.reduce(mat * aligned, axis=None))
             if _worse(violation, worst[0]):
-                worst = (violation, {"trial": trial, "rows": m_rows, "cols": n_cols, "d_min": float(np.min(d))})
+                worst = (violation, {"trial": trial, "rows": m_rows, "cols": n_cols, "d_min": d_min})
     return _report("TRACE_OD", trials, *worst)
 
 
@@ -301,11 +314,10 @@ def estimate_rate_slope(records) -> float:
 def run_all_checks(trials: int, seed: int, bound_scale: float) -> list[LemmaReport]:
     """All five lemma checks with shared seeding, in a fixed order (``bound_scale`` as in the SNR check)."""
     rng = Rng(seed)
-    powers = _series_powers(_SERIES_MU_GRID, _SERIES_T_GRID[-1])  # shared by both series
     return [
         check_snr_bound(trials, rng.substream(1), bound_scale=bound_scale),
         check_phi_eps(),
-        _check_series("SERIES_MUT", _mut_sides, powers),
-        _check_series("SERIES_MUTSQRT", _mutsqrt_sides, powers),
+        check_series_mut(),
+        check_series_mutsqrt(),
         check_trace_inequality(trials, rng.substream(2)),
     ]

@@ -411,6 +411,73 @@ class TestBatchAdaptCommand:
         assert capsys.readouterr().err.startswith("config error:")
 
 
+# a list argument that holds no number: each was dropped, or taken as the default
+EMPTY_LIST_ARGUMENTS = {
+    "batch_adapt_b_empty": (["batch-adapt", "--sigma", "0.5", "--b", "", "--seeds", "1,2,3", "--T", "10"], "--b"),
+    "batch_adapt_b_comma": (["batch-adapt", "--sigma", "0.5", "--b", ",", "--seeds", "1,2,3", "--T", "10"], "--b"),
+    "batch_adapt_dims_empty": (
+        ["batch-adapt", "--sigma", "0.5", "--b", "1,4", "--seeds", "1,2,3", "--T", "10", "--dims", ""], "--dims"
+    ),
+    "rates_dims_empty": (
+        ["rates", "--problem", "matrix_least_squares", "--optimizer", "namo", "--T", "4,8,16", "--regime", "det",
+         "--dims", ""], "--dims"
+    ),
+    "sweep_etas_empty": (["sweep", "--config", "{namo}", "--etas", ""], "--etas"),
+    "sweep_cs_empty": (["sweep", "--config", "{namo_d}", "--etas", "0.02", "--cs", ""], "--cs"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_LIST_ARGUMENTS))
+def test_empty_list_argument_is_config_error(name, tmp_path, capsys):
+    argv, flag = EMPTY_LIST_ARGUMENTS[name]
+    configs = {}
+    for optimizer in ("namo", "namo_d"):
+        configs[optimizer] = tmp_path / f"{optimizer}.ini"
+        configs[optimizer].write_text(with_values(RUN_INI, {"optimizer": optimizer}))
+    out = tmp_path / "out"
+    assert main([arg.format(**configs) for arg in argv] + ["--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: argument {flag}: ")
+    assert not out.exists()
+
+
+def test_repeated_seeds_are_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["batch-adapt", "--sigma", "0.5", "--b", "1,4", "--seeds", "1,1,1", "--T", "10", "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: need at least 3 distinct seeds\n"
+    assert not out.exists()
+
+
+def verify_lemmas_in_fresh_interpreter(out):
+    """stdout of ``verify-lemmas --trials 32 --seed 5`` run by a new Python process."""
+    src = str(Path(orthopt.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["verify-lemmas", "--trials", "32", "--seed", "5", "--out", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-m", "orthopt.cli", *argv], env=env, check=True, capture_output=True, text=True, timeout=120
+    )
+    return done.stdout
+
+
+def test_reused_parser_carries_no_state_between_calls(tmp_path, capsys):
+    assert orthopt.cli.build_parser() is not orthopt.cli.build_parser()
+    assert main(["verify-lemmas", "--trials", "0", "--out", str(tmp_path / "zero")]) == EXIT_CONFIG
+    assert main(["verify-lemmas", "--frobnicate", "--out", str(tmp_path / "unknown")]) == EXIT_CONFIG
+    with pytest.raises(SystemExit) as help_exit:
+        main(["--help"])
+    assert help_exit.value.code == 0
+    empty_b = ["batch-adapt", "--sigma", "0.5", "--b", "", "--seeds", "1,2,3", "--out", str(tmp_path / "empty")]
+    assert main(empty_b) == EXIT_CONFIG
+    capsys.readouterr()
+    out = tmp_path / "reused"
+    assert main(["verify-lemmas", "--trials", "32", "--seed", "5", "--out", str(out)]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    fresh = tmp_path / "fresh"
+    assert stdout == verify_lemmas_in_fresh_interpreter(fresh)
+    assert (out / "lemmas.csv").read_bytes() == (fresh / "lemmas.csv").read_bytes()
+
+
 def test_unknown_command_is_config_error():
     assert main(["frobnicate"]) == EXIT_CONFIG
 

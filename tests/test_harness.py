@@ -374,6 +374,19 @@ class TestBatchAdaptation:
                 "matrix_least_squares", (4, 3, 6), "namo", 10, 1.0, [1, 4], [1, 2]
             )
 
+    @pytest.mark.parametrize(
+        "b_list, seeds, message",
+        [
+            ([], [1, 2, 3], "non-empty"),
+            ([1, 4], [1, 1, 1], "3 distinct seeds"),
+            ([1, 4], [5, 2, 5], "3 distinct seeds"),
+        ],
+    )
+    def test_rejects_no_batch_sizes_and_repeated_seeds(self, b_list, seeds, message):
+        # an empty b_list gave no rows, and a repeated seed averaged one run twice
+        with pytest.raises(ConfigError, match=message):
+            batch_adaptation_experiment("matrix_least_squares", (4, 3, 6), "namo", 10, 1.0, b_list, seeds)
+
 
 def readme_config_block():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

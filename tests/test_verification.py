@@ -553,3 +553,36 @@ class TestBlocksAndMemory:
             tracemalloc.stop()
         # per-trial loops peaked at 0.49 MB and blocks of 2**15 entries at 0.75 MB; 2**18 fails
         assert peak < 1_000_000, peak
+
+
+class TestSeriesPowersCache:
+    def grid_powers(self):
+        return verification._grid_powers(verification._SERIES_MU_GRID, verification._SERIES_T_GRID[-1])
+
+    @pytest.mark.parametrize("seed", [0, 5, 2026])
+    def test_cold_and_warm_reports_are_bit_identical(self, seed):
+        verification._grid_powers.cache_clear()
+        cold = run_all_checks(trials=32, seed=seed, bound_scale=1.0)
+        assert verification._grid_powers.cache_info().currsize == 1
+        warm = run_all_checks(trials=32, seed=seed, bound_scale=1.0)
+        assert [_report_bits(r) for r in warm] == [_report_bits(r) for r in cold]
+
+    def test_cached_powers_are_the_built_ones_and_read_only(self):
+        powers = self.grid_powers()
+        built = verification._series_powers(verification._SERIES_MU_GRID, verification._SERIES_T_GRID[-1])
+        assert [(mu, a.tobytes()) for mu, a in powers] == [(mu, a.tobytes()) for mu, a in built]
+        for _, one_minus in powers:
+            with pytest.raises(ValueError):
+                one_minus[0] = 0.5
+        # the module grid holds 54 + 355 + 3731 + 10000 powers
+        assert sum(a.nbytes for _, a in powers) == 8 * 14140
+
+    def test_public_sides_leave_the_cache_alone(self):
+        self.grid_powers()
+        info = verification._grid_powers.cache_info()
+        assert info.maxsize == 1
+        for mu, t_steps in [(0.95, 77), (0.3, 5), (0.999, 20000)]:
+            series_mut_sides(mu, t_steps)
+            series_mutsqrt_sides(mu, t_steps)
+        after = verification._grid_powers.cache_info()
+        assert (after.currsize, after.hits, after.misses) == (info.currsize, info.hits, info.misses)

@@ -11,7 +11,10 @@ stderr and exit code, followed by its label; the last line is a digest over
 all of them.  Running it on two trees and diffing the outputs names every
 invocation whose bytes changed.  The first line names the build (numpy, its
 BLAS, the OpenBLAS core chosen at run time, machine, libc and Python), because
-the digests hold only on the build that made them.
+the digests hold only on the build that made them.  ``cli.main`` reuses one
+argument parser per process, so the 184 invocations, run in order in one
+process, also check each subcommand, and each error path they cover, across
+calls on that one parser.
 
 ``tools/golden.txt`` holds the digests of this tree; ``tests/test_golden.py``
 compares against it on the build named in its first line.  A deliberate byte
