@@ -12,7 +12,7 @@ all of them.  Running it on two trees and diffing the outputs names every
 invocation whose bytes changed.  The first line names the build (numpy, its
 BLAS, the OpenBLAS core chosen at run time, machine, libc and Python), because
 the digests hold only on the build that made them.  ``cli.main`` reuses one
-argument parser per process, so the 184 invocations, run in order in one
+argument parser per process, so the 186 invocations, run in order in one
 process, also check each subcommand, and each error path they cover, across
 calls on that one parser.
 
@@ -85,6 +85,13 @@ def invocations():
             "batch-adapt", "--sigma", "0.5", "--b", "1,4,16", "--seeds", "0,1,2",
             "--optimizer", optimizer, "--T", "64",
         ], None
+    # A repeated horizon or seed would count twice in the slope or the mean.
+    yield "rates det namo T=16,32,64,64", [
+        "rates", "--problem", "matrix_least_squares", "--optimizer", "namo", "--T", "16,32,64,64", "--regime", "det",
+    ], None
+    yield "batch-adapt namo seeds=0,1,2,2", [
+        "batch-adapt", "--sigma", "0.5", "--b", "1,4,16", "--seeds", "0,1,2,2", "--T", "64",
+    ], None
     for seed in range(6):
         yield f"verify-lemmas seed={seed}", ["verify-lemmas", "--trials", "200", "--seed", str(seed)], None
     yield "verify-lemmas trials=1000 seed=2026", ["verify-lemmas", "--trials", "1000", "--seed", "2026"], None
