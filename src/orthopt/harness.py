@@ -504,7 +504,6 @@ def _theorem_config(name, dims, optimizer, regime, t_steps, **fields) -> RunConf
 class RateResult:
     slope: float
     points: tuple[tuple[int, float], ...]
-    diverged_t: tuple[int, ...]
 
 
 def rate_experiment(
@@ -521,15 +520,16 @@ def rate_experiment(
     """Convergence-rate probe: run each horizon under its theorem schedule
     and fit the log-log slope of the final averaged gradient norm.
 
-    ``t_list`` should contain at least three geometrically spaced horizons.
+    ``t_list`` holds at least three distinct, geometrically spaced horizons.
     Diverged horizons are dropped; fewer than three survivors is an error.
     """
-    if len(set(int(t) for t in t_list)) < 3:
+    t_list = [int(t) for t in t_list]
+    if len(set(t_list)) < 3:
         raise ConfigError("rate experiments need at least 3 distinct T values")
+    if len(set(t_list)) < len(t_list):
+        raise ConfigError(f"a T value is repeated: {t_list}")
     points: list[tuple[int, float]] = []
-    diverged: list[int] = []
     for t_steps in t_list:
-        t_steps = int(t_steps)
         result = run(_theorem_config(
             problem_name, problem_dims, optimizer, regime, t_steps,
             noise=NoiseModel(sigma=sigma, batch_size=batch_size),
@@ -537,17 +537,11 @@ def rate_experiment(
         ))
         if result.status == STATUS_OK:
             points.append((t_steps, result.final_avg_grad))
-        else:
-            diverged.append(t_steps)
     if len(points) < 3:
         raise NumericalError(
             f"only {len(points)} of {len(t_list)} horizons completed; cannot fit a slope"
         )
-    return RateResult(
-        slope=estimate_rate_slope(points),
-        points=tuple(points),
-        diverged_t=tuple(diverged),
-    )
+    return RateResult(slope=estimate_rate_slope(points), points=tuple(points))
 
 
 @dataclass(frozen=True)
@@ -569,8 +563,11 @@ def batch_adaptation_experiment(
     b_list = [int(b) for b in b_list]
     if not b_list or any(b2 <= b1 for b1, b2 in zip(b_list, b_list[1:])):
         raise ConfigError("b_list must be non-empty and strictly increasing")
-    if len({int(s) for s in seeds}) < 3:
+    seeds = [int(s) for s in seeds]
+    if len(set(seeds)) < 3:
         raise ConfigError("need at least 3 distinct seeds")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"a seed is repeated: {seeds}")
     rows: list[tuple[int, float]] = []
     for b in b_list:
         finals = []
@@ -578,7 +575,7 @@ def batch_adaptation_experiment(
             result = run(_theorem_config(
                 problem_name, problem_dims, optimizer, "stoch", t_steps,
                 noise=NoiseModel(sigma=sigma, batch_size=b),
-                problem_seed=problem_seed, seed=int(s),
+                problem_seed=problem_seed, seed=s,
             ))
             if result.status == STATUS_OK:
                 finals.append(result.final_avg_grad)

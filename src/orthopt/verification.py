@@ -2,10 +2,13 @@
 
 Each ``check_*`` routine evaluates both sides of one inequality on randomized
 or grid inputs and reports the worst signed violation (positive means the
-inequality failed).  The checks are pure functions of their grids and seeds,
-so reports are reproducible.  A NaN violation is the worst case: the first
-one becomes the report's ``max_violation`` and fails the check.  The array
-forms of the SNR, PHI_EPS and series checks give the bits of their scalar loops.
+inequality failed), not the input that gave it.  The checks are pure
+functions of their grids and seeds, and trial k of a randomized check draws
+only from ``rng.substream(k)``, so ``max_violation`` at ``trials = k`` is the
+worst of the first k trials and bisecting ``trials`` finds the first failing
+one.  A NaN violation is the worst case: the first one becomes the report's
+``max_violation`` and fails the check.  The array forms of the SNR, PHI_EPS
+and series checks give the bits of their scalar loops.
 
 The randomized checks run in trial blocks bounded by an entry budget: each
 draw comes for the whole block from one ``rng.draws``, a block's SNR
@@ -30,7 +33,6 @@ Checked statements:
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -72,24 +74,14 @@ class LemmaReport:
     lemma_id: str
     trials: int
     max_violation: float
-    worst_case_inputs: str
 
     def passed(self) -> bool:
         return self.max_violation <= LEMMA_TOLERANCES[self.lemma_id]
 
 
-def _report(lemma_id: str, trials: int, max_violation: float, worst) -> LemmaReport:
-    return LemmaReport(
-        lemma_id=lemma_id,
-        trials=trials,
-        max_violation=float(max_violation),
-        worst_case_inputs=json.dumps(worst, sort_keys=True),
-    )
-
-
-def _worse(violation: float, worst_violation: float) -> bool:
-    """Whether ``violation`` replaces the worst so far: it is larger, or the first NaN."""
-    return not (violation <= worst_violation or math.isnan(worst_violation))
+def _report(lemma_id: str, trials: int, violations) -> LemmaReport:
+    """A check's report: the first maximum of its 1-D ``violations``, or the first NaN (``np.argmax``)."""
+    return LemmaReport(lemma_id, trials, float(violations[np.argmax(violations)]))
 
 
 def snr_ratio(g_stream: np.ndarray, mu1: float, mu2: float) -> float:
@@ -135,7 +127,7 @@ def check_snr_bound(
         raise ConfigError(f"trials must be >= 1 and bound_scale finite, got {trials=}, {bound_scale=}")
     if dims_max < 1 or t_max < 1:
         raise ConfigError(f"dims_max and t_max must be >= 1, got {dims_max=}, {t_max=}")
-    worst = (-math.inf, None)  # (violation, inputs)
+    violations = []
     for block in _blocks(trials, t_max * (dims_max + 1)):
         gens = [rng.substream(trial) for trial in block]
         inputs, scales = [], []
@@ -160,10 +152,8 @@ def check_snr_bound(
                 g[:] = g[0]  # constant stream: the tight case when mu1 == mu2
             streams.append(g)
         for p, ratio in zip(inputs, _snr_ratios(streams, [p["mu1"] for p in inputs], [p["mu2"] for p in inputs])):
-            violation = ratio - math.sqrt((1.0 - p["mu1"]) / (1.0 - p["mu2"])) * bound_scale
-            if _worse(violation, worst[0]):
-                worst = (violation, p)
-    return _report("SNR", trials, *worst)
+            violations.append(ratio - math.sqrt((1.0 - p["mu1"]) / (1.0 - p["mu2"])) * bound_scale)
+    return _report("SNR", trials, violations)
 
 
 def snr_tightness_gap(mu: float = 0.9, t: int = 50, dim: int = 8) -> float:
@@ -182,9 +172,7 @@ def check_phi_eps() -> LemmaReport:
     eps = np.logspace(-12, 3, 46)[:, np.newaxis]
     phi = x * x / (x + eps)  # row i is eps[i], as in a loop over eps then x
     violation = x - (phi + np.sqrt(eps * phi))
-    row, col = np.unravel_index(np.argmax(violation), violation.shape)  # first maximum, or first NaN
-    worst = {"x": float(x[col]), "eps": float(eps[row, 0])}
-    return _report("PHI_EPS", violation.size, violation[row, col], worst)
+    return _report("PHI_EPS", violation.size, violation.ravel())
 
 
 # The two series as (direct sum, closed-form bound) for each T of an ascending grid: the
@@ -245,15 +233,12 @@ def check_series_mutsqrt() -> LemmaReport:
 
 
 def _check_series(lemma_id: str, sides) -> LemmaReport:
-    worst = (-math.inf, None)  # (violation, inputs)
+    violations = []
     for mu, one_minus in _grid_powers(_SERIES_MU_GRID, _SERIES_T_GRID[-1]):
-        for t_steps, (lhs, rhs) in zip(_SERIES_T_GRID, sides(mu, one_minus, _SERIES_T_GRID)):
-            # Relative scaling keeps the check meaningful when both sides are
-            # large (the T = 1 case is an exact equality up to roundoff).
-            violation = (lhs - rhs) / max(1.0, abs(rhs))
-            if _worse(violation, worst[0]):
-                worst = (violation, {"mu": float(mu), "T": int(t_steps)})
-    return _report(lemma_id, len(_SERIES_MU_GRID) * len(_SERIES_T_GRID), *worst)
+        # Relative scaling keeps the check meaningful when both sides are
+        # large (the T = 1 case is an exact equality up to roundoff).
+        violations += [(lhs - rhs) / max(1.0, abs(rhs)) for lhs, rhs in sides(mu, one_minus, _SERIES_T_GRID)]
+    return _report(lemma_id, len(violations), violations)
 
 
 def check_trace_inequality(trials: int, rng: Rng, dims_max=(16, 12)) -> LemmaReport:
@@ -263,7 +248,7 @@ def check_trace_inequality(trials: int, rng: Rng, dims_max=(16, 12)) -> LemmaRep
     m_max, n_max = dims_max
     if m_max < 2 or n_max < 2:
         raise ConfigError(f"both dims_max entries must be >= 2, got {dims_max=}")
-    worst = (-math.inf, None)  # (violation, inputs)
+    violations = []
     for block in _blocks(trials, m_max * (n_max + 1)):
         gens = [rng.substream(trial) for trial in block]
         us = draws(gens, [2] * len(gens), normal=False)
@@ -271,7 +256,7 @@ def check_trace_inequality(trials: int, rng: Rng, dims_max=(16, 12)) -> LemmaRep
         mats = [z.reshape(shape) for z, shape in zip(draws(gens, [m * n for m, n in shapes], normal=True), shapes)]
         # A diagonal is the last draw of a trial, so the duality-identity and zero cases may draw and drop it.
         diagonals = draws(gens, [n for _, n in shapes], normal=False)
-        for trial, (m_rows, n_cols), mat, diagonal in zip(block, shapes, mats, diagonals):
+        for trial, (_, n_cols), mat, diagonal in zip(block, shapes, mats, diagonals):
             if trial % 11 == 1:
                 d = np.ones(n_cols)  # duality identity case
             elif trial % 13 == 2:
@@ -285,10 +270,8 @@ def check_trace_inequality(trials: int, rng: Rng, dims_max=(16, 12)) -> LemmaRep
             u, s, vt = _svd(mat)
             aligned = np.ascontiguousarray(_polar(u, s, vt) * d[np.newaxis, :])  # F order moves the sum's bits
             d_min = float(np.minimum.reduce(d))  # the reductions np.min and np.sum call
-            violation = d_min * float(np.add.reduce(s)) - float(np.add.reduce(mat * aligned, axis=None))
-            if _worse(violation, worst[0]):
-                worst = (violation, {"trial": trial, "rows": m_rows, "cols": n_cols, "d_min": d_min})
-    return _report("TRACE_OD", trials, *worst)
+            violations.append(d_min * float(np.add.reduce(s)) - float(np.add.reduce(mat * aligned, axis=None)))
+    return _report("TRACE_OD", trials, violations)
 
 
 def estimate_rate_slope(records) -> float:

@@ -448,6 +448,43 @@ def test_repeated_seeds_are_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+REPEATED_ENTRIES = {
+    "batch-adapt seeds": (
+        ["batch-adapt", "--sigma", "0.5", "--b", "1,4", "--seeds", "1,2,3,3", "--T", "10", "--dims", "4,3,6"],
+        "a seed is repeated: [1, 2, 3, 3]",
+    ),
+    "rates horizons": (
+        ["rates", "--problem", "matrix_least_squares", "--optimizer", "namo", "--T", "4,8,16,16", "--regime", "det"],
+        "a T value is repeated: [4, 8, 16, 16]",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_ENTRIES))
+def test_repeated_seed_or_horizon_is_config_error(name, tmp_path, capsys):
+    # a repeated entry used to run again and count twice in the mean or the slope fit
+    argv, message = REPEATED_ENTRIES[name]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rates", "--optimizer", "namo", "--T", "4,8,16", "--regime", "det"],
+        ["batch-adapt", "--sigma", "0.5", "--b", "1,4", "--seeds", "1,2,3"],
+    ],
+    ids=["rates", "batch-adapt"],
+)
+def test_unknown_problem_without_dims_is_config_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--problem", "bogus", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: unknown problem: 'bogus'\n"
+    assert not out.exists()
+
+
 def verify_lemmas_in_fresh_interpreter(out):
     """stdout of ``verify-lemmas --trials 32 --seed 5`` run by a new Python process."""
     src = str(Path(orthopt.__file__).resolve().parents[1])

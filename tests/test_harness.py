@@ -142,6 +142,25 @@ class TestRun:
         sweep = lr_sweep(grad_norm_overflow_config(), [1e-3, GRAD_NORM_OVERFLOW_ETA])
         assert [e.status for e in sweep.entries] == [STATUS_OK, STATUS_DIVERGED]
 
+    def test_overflowing_parameters_end_diverged_with_a_finite_loss(self, monkeypatch):
+        # The loss and gradient stay finite while AdamW's steps of about eta take theta
+        # past the float maximum, so only the check on theta stops the run.
+        def loss_and_grad(params, rows=None):
+            return 1.0, [np.ones_like(p) for p in params]
+
+        problem = problems.Problem(
+            name="flat",
+            loss=lambda p: loss_and_grad(p)[0],
+            grad=lambda p: loss_and_grad(p)[1],
+            loss_and_grad=loss_and_grad,
+            theta0=(np.zeros(3),),
+        )
+        monkeypatch.setattr(harness, "make_problem", lambda config: problem)
+        result = run(small_config("adamw", steps=10, hyper=default_hyperparams("adamw", eta=1e308, weight_decay=0.0)))
+        assert result.status == STATUS_DIVERGED
+        assert result.steps_completed == 2  # theta is -1e308 after step 1 and -inf after step 2
+        assert [r.loss for r in result.records] == [1.0, 1.0]
+
     @pytest.mark.parametrize("optimizer", ["adamw", "muon"])
     def test_noise_overflow_ends_diverged(self, optimizer):
         # sigma=1.7e308 overflows a noisy gradient to inf; the step rejects it
@@ -650,7 +669,7 @@ class TestCsvOutput:
         assert text.splitlines()[1] == "namo,0.01,,0.5,0.10000000000000001,ok"
 
     def test_lemma_schema(self):
-        report = LemmaReport("SNR", 10, -1e-15, "{}")
+        report = LemmaReport("SNR", 10, -1e-15)
         text = render_csv([report])
         assert text.splitlines()[0] == "lemma,trials,max_violation,pass"
         assert text.splitlines()[1].endswith(",true")

@@ -1,4 +1,4 @@
-import json
+import itertools
 import math
 import re
 import struct
@@ -43,7 +43,6 @@ class TestSnrBound:
         assert report.max_violation <= LEMMA_TOLERANCES["SNR"]
         assert report.passed()
         assert report.trials == 300
-        json.loads(report.worst_case_inputs)  # serialized worst-case inputs
 
     def test_tightness_gap(self):
         assert snr_tightness_gap() <= 1e-12
@@ -193,13 +192,18 @@ def _bits(value) -> bytes:
 
 
 def _report_bits(report):
-    return report.lemma_id, report.trials, _bits(report.max_violation), report.worst_case_inputs
+    return report.lemma_id, report.trials, _bits(report.max_violation)
 
 
 def _replaces(violation, worst_violation) -> bool:
     if math.isnan(worst_violation):
         return False
     return math.isnan(violation) or violation > worst_violation
+
+
+def running_worst(violations) -> list[float]:
+    """The worst violation so far after each one."""
+    return list(itertools.accumulate(violations, lambda w, v: v if _replaces(v, w) else w, initial=-math.inf))[1:]
 
 
 def scalar_snr_ratio(g_stream, mu1, mu2):
@@ -218,16 +222,12 @@ def scalar_snr_ratio(g_stream, mu1, mu2):
 
 
 def scalar_phi_eps(x_grid, eps_grid):
-    worst_violation, worst, trials = -math.inf, None, 0
+    violations = []
     for eps in eps_grid:
         for x in x_grid:
-            trials += 1
             phi = x * x / (x + eps)
-            violation = x - (phi + math.sqrt(eps * phi))
-            if _replaces(violation, worst_violation):
-                worst_violation = violation
-                worst = {"x": float(x), "eps": float(eps)}
-    return "PHI_EPS", trials, _bits(worst_violation), json.dumps(worst, sort_keys=True)
+            violations.append(x - (phi + math.sqrt(eps * phi)))
+    return "PHI_EPS", len(violations), _bits(running_worst(violations)[-1])
 
 
 def scalar_series_mut_sides(mu, t_steps):
@@ -247,25 +247,20 @@ SERIES_T_GRID = (1, 10, 100, 1000, 10000)
 
 
 def scalar_check_series(lemma_id, sides, mu_grid=SERIES_MU_GRID, t_grid=SERIES_T_GRID):
-    worst_violation, worst, trials = -math.inf, None, 0
+    violations = []
     for mu in mu_grid:
         for t_steps in t_grid:
-            trials += 1
             lhs, rhs = sides(mu, t_steps)
-            violation = (lhs - rhs) / max(1.0, abs(rhs))
-            if _replaces(violation, worst_violation):
-                worst_violation = violation
-                worst = {"mu": float(mu), "T": int(t_steps)}
-    return lemma_id, trials, _bits(worst_violation), json.dumps(worst, sort_keys=True)
+            violations.append((lhs - rhs) / max(1.0, abs(rhs)))
+    return lemma_id, len(violations), _bits(running_worst(violations)[-1])
 
 
 # The randomized checks as per-trial loops, one substream's draws, one
-# recursion and one orthogonalize/nuclear_norm pair at a time: the blocked
-# checks must report the same bits.
+# recursion and one orthogonalize/nuclear_norm pair at a time, each giving its
+# violations in trial order: the blocked checks must report the same bits.
 
 
-def reference_check_snr_bound(trials, rng, dims_max=64, t_max=100, bound_scale=1.0):
-    worst_violation, worst = -math.inf, None
+def reference_snr_violations(trials, rng, dims_max=64, t_max=100, bound_scale=1.0):
     for trial in range(trials):
         r = rng.substream(trial)
         if trial < len(SNR_MU_GRID) or trial % 4 == 0:
@@ -282,19 +277,14 @@ def reference_check_snr_bound(trials, rng, dims_max=64, t_max=100, bound_scale=1
         if trial % 7 == 3:
             g[:] = g[0]
         bound = math.sqrt((1.0 - mu1) / (1.0 - mu2)) * bound_scale
-        violation = scalar_snr_ratio(g, mu1, mu2) - bound
-        if _replaces(violation, worst_violation):
-            worst_violation = violation
-            worst = {"trial": trial, "mu1": mu1, "mu2": mu2, "dim": d, "t": t}
-    return "SNR", trials, _bits(worst_violation), json.dumps(worst, sort_keys=True)
+        yield scalar_snr_ratio(g, mu1, mu2) - bound
 
 
-def reference_check_trace_inequality(trials, rng, dims_max=(16, 12)):
+def reference_trace_violations(trials, rng, dims_max=(16, 12)):
     from orthopt.linalg import inner_product, nuclear_norm
     from orthopt.orthogonalize import EXACT, orthogonalize
 
     m_max, n_max = dims_max
-    worst_violation, worst = -math.inf, None
     for trial in range(trials):
         r = rng.substream(trial)
         u = r.uniforms(2)
@@ -310,11 +300,15 @@ def reference_check_trace_inequality(trials, rng, dims_max=(16, 12)):
             if trial % 5 == 0:
                 d[trial % n_cols] = 0.0
         lhs = inner_product(mat, orthogonalize(mat, EXACT) * d[np.newaxis, :])
-        violation = float(np.min(d)) * nuclear_norm(mat) - lhs
-        if _replaces(violation, worst_violation):
-            worst_violation = violation
-            worst = {"trial": trial, "rows": m_rows, "cols": n_cols, "d_min": float(np.min(d))}
-    return "TRACE_OD", trials, _bits(worst_violation), json.dumps(worst, sort_keys=True)
+        yield float(np.min(d)) * nuclear_norm(mat) - lhs
+
+
+def reference_check_snr_bound(trials, rng, dims_max=64, t_max=100, bound_scale=1.0):
+    return "SNR", trials, _bits(running_worst(reference_snr_violations(trials, rng, dims_max, t_max, bound_scale))[-1])
+
+
+def reference_check_trace_inequality(trials, rng, dims_max=(16, 12)):
+    return "TRACE_OD", trials, _bits(running_worst(reference_trace_violations(trials, rng, dims_max))[-1])
 
 
 def trial_counts(block):
@@ -420,6 +414,17 @@ class TestMatchesScalarReferences:
             want = reference_check_trace_inequality(trials, Rng(seed).substream(2), dims_max)
             assert _report_bits(got) == want, trials
 
+    @pytest.mark.parametrize("seed", [0, 2026])
+    def test_reports_at_k_trials_are_the_running_worst(self, seed):
+        # Trial k's bits do not depend on the trial count, so bisecting --trials finds the worst trial.
+        for check, stream, violations, block in [
+            (check_snr_bound, 1, reference_snr_violations, snr_block()),
+            (check_trace_inequality, 2, reference_trace_violations, trace_block()),
+        ]:
+            want = running_worst(violations(block + 3, Rng(seed).substream(stream)))
+            got = [check(trials=k, rng=Rng(seed).substream(stream)).max_violation for k in range(1, block + 4)]
+            assert [_bits(v) for v in got] == [_bits(v) for v in want], check.__name__
+
     def test_run_all_checks_series_match_scalar_checks(self):
         reports = run_all_checks(trials=3, seed=0, bound_scale=1.0)
         assert _report_bits(reports[2]) == scalar_check_series("SERIES_MUT", scalar_series_mut_sides)
@@ -511,7 +516,6 @@ class TestConfigErrorsAndNan:
         monkeypatch.setattr(verification, "_snr_ratios", lambda streams, mu1s, mu2s: [next(ratios) for _ in streams])
         report = check_snr_bound(trials=5, rng=Rng(0))
         assert math.isnan(report.max_violation)
-        assert json.loads(report.worst_case_inputs)["trial"] == 1
         assert not report.passed()
 
     def test_first_nan_trace_violation_is_the_worst(self, monkeypatch):
@@ -526,7 +530,6 @@ class TestConfigErrorsAndNan:
         monkeypatch.setattr(verification, "_svd", svd)
         report = check_trace_inequality(trials=5, rng=Rng(0))
         assert math.isnan(report.max_violation)
-        assert json.loads(report.worst_case_inputs)["trial"] == 2
         assert not report.passed()
 
 
