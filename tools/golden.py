@@ -12,9 +12,9 @@ all of them.  Running it on two trees and diffing the outputs names every
 invocation whose bytes changed.  The first line names the build (numpy, its
 BLAS, the OpenBLAS core chosen at run time, machine, libc and Python), because
 the digests hold only on the build that made them.  ``cli.main`` reuses one
-argument parser per process, so the 186 invocations, run in order in one
-process, also check each subcommand, and each error path they cover, across
-calls on that one parser.
+argument parser per process, so the invocations, run in order in one process,
+also check each subcommand, and each error path they cover, across calls on
+that one parser.
 
 ``tools/golden.txt`` holds the digests of this tree; ``tests/test_golden.py``
 compares against it on the build named in its first line.  A deliberate byte
@@ -91,6 +91,26 @@ def invocations():
     ], None
     yield "batch-adapt namo seeds=0,1,2,2", [
         "batch-adapt", "--sigma", "0.5", "--b", "1,4,16", "--seeds", "0,1,2,2", "--T", "64",
+    ], None
+    # Divergence: a non-finite loss after one logged step (repeats = 2, so summary.csv gets NaN cells),
+    # a non-finite gradient norm, a sweep with no finite run, and the experiments' numerical failure.
+    lstsq = "[run]\nproblem = matrix_least_squares\ndims = 8,6,12\noptimizer = {optimizer}\nsteps = 40\n"
+    for optimizer in OPTIMIZERS:
+        yield f"run matrix_least_squares {optimizer} eta=1e100 diverges", ["run"], lstsq.format(
+            optimizer=optimizer
+        ) + "eta = 1e100\nwarmup_steps = 0\nrepeats = 2\n"
+    yield "run matrix_least_squares adamw eta=1e153 diverges", ["run"], lstsq.format(
+        optimizer="adamw"
+    ) + "eta = 1e153\nwarmup_steps = 0\n"
+    yield "sweep matrix_least_squares adamw etas=1e300,1e301 diverges", [
+        "sweep", "--etas", "1e300,1e301",
+    ], lstsq.format(optimizer="adamw")
+    yield "rates stoch namo sigma=1e300 diverges", [
+        "rates", "--problem", "matrix_least_squares", "--optimizer", "namo", "--T", "16,32,64",
+        "--regime", "stoch", "--sigma", "1e300",
+    ], None
+    yield "batch-adapt namo sigma=1e300 diverges", [
+        "batch-adapt", "--sigma", "1e300", "--b", "1,4", "--seeds", "1,2,3", "--T", "16",
     ], None
     for seed in range(6):
         yield f"verify-lemmas seed={seed}", ["verify-lemmas", "--trials", "200", "--seed", str(seed)], None
