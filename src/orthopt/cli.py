@@ -27,8 +27,9 @@ from .harness import (
     run,
     write_csv,
 )
-from .verification import run_all_checks, snr_tightness_gap
+from .verification import LEMMA_TOLERANCES, run_all_checks, snr_tightness_gap
 
+# Dims for `rates` and `batch-adapt` without --dims; an unknown problem fails in build_problem.
 _DEFAULT_PROBLEM_DIMS = {
     "matrix_least_squares": (8, 6, 12),
     "matrix_factorization": (16, 4, 16),
@@ -127,14 +128,6 @@ def _ensure_outdir(path: str) -> None:
         raise OSError(f"cannot create output directory {path}: {exc}") from exc
 
 
-def _default_dims(problem: str, dims) -> tuple[int, ...]:
-    if dims:
-        return tuple(dims)
-    if problem not in _DEFAULT_PROBLEM_DIMS:
-        raise ConfigError(f"unknown problem: {problem!r}")
-    return _DEFAULT_PROBLEM_DIMS[problem]
-
-
 def _cmd_run(args) -> int:
     config = load_run_config(args.config)
     _ensure_outdir(args.out)
@@ -176,10 +169,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    dims = _default_dims(args.problem, args.dims)
     result = rate_experiment(
         problem_name=args.problem,
-        problem_dims=dims,
+        problem_dims=args.dims or _DEFAULT_PROBLEM_DIMS.get(args.problem, ()),
         optimizer=args.optimizer,
         t_list=args.t_list,
         regime=args.regime,
@@ -211,17 +203,16 @@ def _cmd_verify_lemmas(args) -> int:
             f"max_violation={report.max_violation:.3e} {'PASS' if ok else 'FAIL'}"
         )
     gap = snr_tightness_gap()
-    tight_ok = gap <= 1e-12
+    tight_ok = gap <= LEMMA_TOLERANCES["SNR"]
     all_ok &= tight_ok
     print(f"SNR tightness witness: gap={gap:.3e} {'PASS' if tight_ok else 'FAIL'}")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
 def _cmd_batch_adapt(args) -> int:
-    dims = _default_dims(args.problem, args.dims)
     result = batch_adaptation_experiment(
         problem_name=args.problem,
-        problem_dims=dims,
+        problem_dims=args.dims or _DEFAULT_PROBLEM_DIMS.get(args.problem, ()),
         optimizer=args.optimizer,
         t_steps=args.t_steps,
         sigma=args.sigma,

@@ -162,7 +162,7 @@ def make_problem(config: RunConfig) -> Problem:
     return build_problem(config.problem, config.problem_dims, config.problem_seed, config.dataset_size)
 
 
-def build_problem(name: str, dims: Sequence[int], seed: int, dataset_size: int = 64) -> Problem:
+def build_problem(name: str, dims: Sequence[int], seed: int, dataset_size: int = RunConfig.dataset_size) -> Problem:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise ConfigError("dimensions must be positive")

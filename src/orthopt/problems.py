@@ -26,18 +26,6 @@ from .errors import ConfigError, DimensionError, InputError
 from .linalg import spectral_norm
 from .rng import Rng
 
-__all__ = [
-    "Problem",
-    "NoiseModel",
-    "NoiseKind",
-    "Rng",
-    "make_matrix_least_squares",
-    "make_matrix_factorization",
-    "make_mlp_problem",
-    "stochastic_grad",
-    "finite_difference_grad",
-]
-
 # Factories rescale their data so curvature hints stay within a fixed band,
 # keeping learning-rate sweeps comparable across problems.
 _LSTSQ_LIPSCHITZ = 4.0
@@ -52,8 +40,9 @@ class Problem:
     on the full data or, given ``rows`` (a 1-D array of distinct data rows),
     their unbiased estimate from those rows.  ``loss``, ``grad`` and
     ``minibatch_grad`` (``None`` without data) are its views, bit for bit.  An
-    MLP problem's full-data oracle reuses work buffers it owns, so it must not
-    be evaluated from two threads at once (``harness.run`` builds one per run).
+    MLP problem's oracle, on full data or on rows, writes into work buffers it
+    owns, so it must not be evaluated from two threads at once (``harness.run``
+    builds one per run).
     """
 
     name: str
@@ -148,9 +137,10 @@ def make_mlp_problem(layer_dims, dataset_size: int, seed: int) -> Problem:
     Parameters alternate weight matrices and bias vectors, so the problem
     exercises matrix/fallback routing.  The loss is the mean squared error
     0.5 * mean_i ||f(x_i) - y_i||^2 with targets from a seeded teacher
-    network of the same architecture.  The full-data oracle writes into one
-    activation and one error buffer per hidden layer, allocated here; the loss
-    and gradients it returns are fresh and never alias them.
+    network of the same architecture.  The oracle writes into one activation
+    and one error buffer per hidden layer, allocated here, a minibatch into
+    their leading rows; the loss and gradients it returns are fresh and never
+    alias them, and no two threads may evaluate one problem at once.
     """
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) < 3:
@@ -167,22 +157,19 @@ def make_mlp_problem(layer_dims, dataset_size: int, seed: int) -> Problem:
             out.append(np.zeros(dims[l + 1]))
         return out
 
-    def work(rows: int) -> list[np.ndarray]:  # one (rows, width) array per hidden layer
-        return [np.empty((rows, d)) for d in dims[1:-1]]
-
-    # Allocated once: at 256 samples of width 64 each is 128 KiB, glibc's mmap
-    # threshold, so per-call temporaries would be mapped and unmapped each time.
-    hidden, deltas = work(dataset_size), work(dataset_size)
+    # Allocated once, one (dataset_size, width) array per hidden layer: at 256 samples of width 64 each
+    # is 128 KiB, glibc's mmap threshold, so per-call temporaries would be mapped and unmapped each time.
+    hidden, deltas = ([np.empty((dataset_size, d)) for d in dims[1:-1]] for _ in range(2))
     teacher = draw_params(rng, 1.0)
     x_data = rng.normal_matrix(dataset_size, dims[0])
     y_data = _mlp_forward(teacher, x_data, hidden)
     theta0 = draw_params(rng, 0.5)
 
     def loss_and_grad(params: list[np.ndarray], rows: Optional[np.ndarray] = None):
-        if rows is None:
-            xs, ys, hid, dels = x_data, y_data, hidden, deltas
-        else:  # a b-row mean estimates the full mean unscaled; fresh (b, width) buffers
-            xs, ys, hid, dels = x_data[rows], y_data[rows], work(rows.size), work(rows.size)
+        # A b-row mean estimates the full mean unscaled.  The buffers' leading b rows are C-contiguous
+        # with a fresh (b, width) array's strides, so BLAS sees the same layout.
+        xs, ys = (x_data, y_data) if rows is None else (x_data[rows], y_data[rows])
+        hid, dels = [a[: xs.shape[0]] for a in hidden], [a[: xs.shape[0]] for a in deltas]
         err = _mlp_forward(params, xs, hid)
         err -= ys
         delta = err / xs.shape[0]

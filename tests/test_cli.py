@@ -332,6 +332,13 @@ class TestVerifyLemmasCommand:
         assert (out / "lemmas.csv").read_text().splitlines()[1] == "SNR,4,,false"
         assert "SNR: trials=4 max_violation=nan FAIL" in capsys.readouterr().out
 
+    def test_tightness_witness_reads_the_tolerance_table(self, tmp_path, capsys, monkeypatch):
+        # a negative tolerance fails every gap, the witness's exact 0 included
+        monkeypatch.setitem(orthopt.verification.LEMMA_TOLERANCES, "SNR", -1.0)
+        code = main(["verify-lemmas", "--trials", "1", "--out", str(tmp_path / "out")])
+        assert code == EXIT_CHECK_FAILED
+        assert re.search(r"^SNR tightness witness: gap=\S+ FAIL$", capsys.readouterr().out, re.M)
+
 
 class TestBatchAdaptCommand:
     def test_small_batch_adapt(self, tmp_path, capsys):
@@ -457,6 +464,11 @@ REPEATED_ENTRIES = {
         ["rates", "--problem", "matrix_least_squares", "--optimizer", "namo", "--T", "4,8,16,16", "--regime", "det"],
         "a T value is repeated: [4, 8, 16, 16]",
     ),
+    # the problem name is checked where the problem is built, after the experiment's lists
+    "batch-adapt seeds, unknown problem": (
+        ["batch-adapt", "--problem", "bogus", "--sigma", "0.5", "--b", "1", "--seeds", "1,1,2"],
+        "need at least 3 distinct seeds",
+    ),
 }
 
 
@@ -483,6 +495,28 @@ def test_unknown_problem_without_dims_is_config_error(argv, tmp_path, capsys):
     assert main([*argv, "--problem", "bogus", "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err == "config error: unknown problem: 'bogus'\n"
     assert not out.exists()
+
+
+RATES_ARGV = ["--optimizer", "namo", "--T", "4,8,16", "--regime", "stoch", "--sigma", "0.5", "--b", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv, dims",
+    [
+        (["rates", "--problem", "matrix_least_squares", *RATES_ARGV], "8,6,12"),
+        (["rates", "--problem", "matrix_factorization", *RATES_ARGV], "16,4,16"),
+        (["rates", "--problem", "mlp", *RATES_ARGV], "4,8,2"),
+        (["batch-adapt", "--sigma", "0.5", "--b", "1,4", "--seeds", "1,2,3", "--T", "10"], "8,6,12"),
+    ],
+    ids=["rates-lstsq", "rates-factorization", "rates-mlp", "batch-adapt"],
+)
+def test_default_dims_given_as_dims_write_the_same_bytes(argv, dims, tmp_path, capsys):
+    outputs = []
+    for label, dims_argv in (("given", ["--dims", dims]), ("omitted", [])):
+        out = tmp_path / label
+        assert main([*argv, *dims_argv, "--out", str(out)]) == EXIT_OK
+        outputs.append(({path.name: path.read_bytes() for path in out.iterdir()}, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
 
 
 def verify_lemmas_in_fresh_interpreter(out):

@@ -194,20 +194,25 @@ def test_mlp_oracle_with_reused_buffers_matches_allocating_reference(dims, datas
     param_sets = [
         [p + 0.5 * rng.normals(p.size).reshape(p.shape) for p in problem.theta0] for _ in range(2)
     ]
-    idx = np.sort(rng.sample_without_replacement(dataset_size, max(1, dataset_size // 3)))
+    # a minibatch uses the buffers' leading rows: one row, a third of them and all but one
+    idx_sets = [
+        np.sort(rng.sample_without_replacement(dataset_size, b))
+        for b in (max(1, dataset_size // 3), 1, max(1, dataset_size - 1))
+    ]
     # alternate two parameter sets, so that state carried between calls shows
     for params in param_sets * 3:
-        want_loss, want = reference_mlp_loss_and_grad(params, x, y)
-        loss, got = problem.loss_and_grad(params)
-        mini = problem.minibatch_grad(params, idx)
-        assert loss == want_loss
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
-        for g, w in zip(mini, reference_mlp_loss_and_grad(params, x[idx], y[idx])[1]):
-            np.testing.assert_array_equal(g, w)
-        for g in got + mini:
-            assert not any(np.shares_memory(g, a) for a in held)
-            g.fill(np.nan)  # a caller writing into its gradient leaves the next call unchanged
+        for idx in idx_sets:
+            want_loss, want = reference_mlp_loss_and_grad(params, x, y)
+            loss, got = problem.loss_and_grad(params)
+            mini = problem.minibatch_grad(params, idx)
+            assert loss == want_loss
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+            for g, w in zip(mini, reference_mlp_loss_and_grad(params, x[idx], y[idx])[1]):
+                np.testing.assert_array_equal(g, w)
+            for g in got + mini:
+                assert not any(np.shares_memory(g, a) for a in held)
+                g.fill(np.nan)  # a caller writing into its gradient leaves the next call unchanged
     assert problem.loss(param_sets[0]) == reference_mlp_loss_and_grad(param_sets[0], x, y)[0]
 
 
