@@ -112,6 +112,18 @@ def invocations():
     yield "batch-adapt namo sigma=1e300 diverges", [
         "batch-adapt", "--sigma", "1e300", "--b", "1,4", "--seeds", "1,2,3", "--T", "16",
     ], None
+    # Config errors that only building the problem or its gradient oracle finds.
+    for problem, dims, extra in (
+        ("matrix_least_squares", "4,3", ""),
+        ("matrix_factorization", "4,3", ""),
+        ("matrix_factorization", "4,8,4", ""),
+        ("mlp", "4,2", ""),
+        ("matrix_least_squares", "8,6,12", f"sigma = 0.5\nbatch_size = {10**400}\n"),
+    ):
+        label = f"run {problem} dims={dims}" + (" sigma=0.5 batch_size=10**400" if extra else "")
+        yield f"{label} config error", ["run"], (
+            f"[run]\nproblem = {problem}\ndims = {dims}\noptimizer = namo\nsteps = 40\n" + extra
+        )
     for seed in range(6):
         yield f"verify-lemmas seed={seed}", ["verify-lemmas", "--trials", "200", "--seed", str(seed)], None
     yield "verify-lemmas trials=1000 seed=2026", ["verify-lemmas", "--trials", "1000", "--seed", "2026"], None
