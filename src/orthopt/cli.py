@@ -2,6 +2,8 @@
 
 Subcommands: ``run``, ``sweep``, ``rates``, ``verify-lemmas``, ``batch-adapt``.
 Exit codes: 0 success, 1 config error, 2 lemma/acceptance failure, 3 I/O error.
+Each command states the header and rows of each CSV file it writes; ``--out``
+is created with the first file, so a command that stops early leaves none.
 In-process callers of ``main`` share one parser per process.
 """
 
@@ -121,22 +123,18 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _ensure_outdir(path: str) -> None:
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory {path}: {exc}") from exc
-
-
 def _cmd_run(args) -> int:
     config = load_run_config(args.config)
-    _ensure_outdir(args.out)
     summary_rows = []
     for r in range(config.repeats):
         cfg = config if r == 0 else replace(config, seed=config.seed + r)
         result = run(cfg)
         name = "run.csv" if config.repeats == 1 else f"run_{r:03d}.csv"
-        write_csv(result, os.path.join(args.out, name))
+        rows = [
+            (rec.step, rec.loss, rec.grad_fro, rec.avg_grad_fro, rec.alpha, rec.d_bar, rec.d_min, rec.d_max)
+            for rec in result.records
+        ]
+        write_csv(("step,loss,grad_fro,avg_grad_fro,alpha,d_bar,d_min,d_max", rows), os.path.join(args.out, name))
         summary_rows.append((r, cfg.seed, result.status, result.final_loss, result.final_avg_grad))
         print(
             f"run[{r}] status={result.status} steps={result.steps_completed} "
@@ -157,8 +155,8 @@ def _cmd_sweep(args) -> int:
     if cs is None and config.optimizer == "namo_d":
         cs = list(DEFAULT_C_GRID)
     result = lr_sweep(config, etas, cs)
-    _ensure_outdir(args.out)
-    write_csv(result, os.path.join(args.out, "sweep.csv"))
+    rows = [(e.optimizer, e.eta, e.c, e.final_loss, e.final_avg_grad, e.status) for e in result.entries]
+    write_csv(("optimizer,eta,c,final_loss,final_avg_grad,status", rows), os.path.join(args.out, "sweep.csv"))
     if result.best is None:
         print("sweep: all runs diverged")
     else:
@@ -180,8 +178,7 @@ def _cmd_rates(args) -> int:
         sigma=args.sigma,
         batch_size=args.b,
     )
-    _ensure_outdir(args.out)
-    write_csv(result, os.path.join(args.out, "rates.csv"))
+    write_csv(("T,final_avg_grad_fro", result.points), os.path.join(args.out, "rates.csv"))
     write_csv(
         ("optimizer,regime,slope", [(args.optimizer, args.regime, result.slope)]),
         os.path.join(args.out, "rate_summary.csv"),
@@ -192,8 +189,10 @@ def _cmd_rates(args) -> int:
 
 def _cmd_verify_lemmas(args) -> int:
     reports = run_all_checks(trials=args.trials, seed=args.seed, bound_scale=args.snr_bound_scale)
-    _ensure_outdir(args.out)
-    write_csv(reports, os.path.join(args.out, "lemmas.csv"))
+    write_csv(
+        ("lemma,trials,max_violation,pass", [(r.lemma_id, r.trials, r.max_violation, r.passed()) for r in reports]),
+        os.path.join(args.out, "lemmas.csv"),
+    )
     all_ok = True
     for report in reports:
         ok = report.passed()
@@ -220,8 +219,7 @@ def _cmd_batch_adapt(args) -> int:
         seeds=args.seeds,
         problem_seed=args.problem_seed,
     )
-    _ensure_outdir(args.out)
-    write_csv(result, os.path.join(args.out, "batch_adapt.csv"))
+    write_csv(("b,mean_final_avg_grad_fro", result.rows), os.path.join(args.out, "batch_adapt.csv"))
     for b, mean in result.rows:
         print(f"b={b}: mean_final_avg_grad={mean:.6g}")
     return EXIT_OK

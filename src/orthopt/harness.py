@@ -4,7 +4,8 @@ experiments, and deterministic CSV output.
 A run is a pure function of its config: the config's canonical key=value form
 is hashed into the RNG stream, every stochastic draw is counter-based, and
 floats are written with 17 significant digits, so identical configs produce
-byte-identical CSV files.
+byte-identical CSV files.  The CSV writer takes a ``(header, rows)`` table;
+which files a command writes, and their columns, is the CLI's to say.
 
 The logged gradient norm is always the deterministic full gradient at the
 pre-step iterate, shared with the loss evaluation through the fused
@@ -24,6 +25,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+import os
 from collections import defaultdict
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import reduce
@@ -56,7 +58,7 @@ from .problems import (
     make_mlp_problem,
 )
 from .rng import Rng
-from .verification import LemmaReport, estimate_rate_slope
+from .verification import estimate_rate_slope
 
 # Each optimizer's training recipe, as what it changes from the HyperParams
 # defaults: its learning rate, weight decay 0.01 everywhere, (0.9, 0.95)
@@ -589,12 +591,6 @@ def batch_adaptation_experiment(
 # CSV output.
 # ---------------------------------------------------------------------------
 
-RUN_CSV_HEADER = "step,loss,grad_fro,avg_grad_fro,alpha,d_bar,d_min,d_max"
-SWEEP_CSV_HEADER = "optimizer,eta,c,final_loss,final_avg_grad,status"
-LEMMA_CSV_HEADER = "lemma,trials,max_violation,pass"
-RATE_CSV_HEADER = "T,final_avg_grad_fro"
-BATCH_CSV_HEADER = "b,mean_final_avg_grad_fro"
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -611,46 +607,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render_csv(obj) -> str:
-    """Render a result object to CSV text (LF newlines, fixed column order)."""
-    if isinstance(obj, RunResult):
-        return render_csv(list(obj.records))
-    if isinstance(obj, SweepResult):
-        rows = [
-            (e.optimizer, e.eta, e.c, e.final_loss, e.final_avg_grad, e.status)
-            for e in obj.entries
-        ]
-        return _render_table(SWEEP_CSV_HEADER, rows)
-    if isinstance(obj, RateResult):
-        return _render_table(RATE_CSV_HEADER, list(obj.points))
-    if isinstance(obj, BatchAdaptResult):
-        return _render_table(BATCH_CSV_HEADER, list(obj.rows))
-    if isinstance(obj, tuple) and len(obj) == 2 and isinstance(obj[0], str):
-        return _render_table(obj[0], obj[1])
-    if isinstance(obj, list):
-        if all(isinstance(r, RunRecord) for r in obj):
-            rows = [
-                (r.step, r.loss, r.grad_fro, r.avg_grad_fro, r.alpha, r.d_bar, r.d_min, r.d_max)
-                for r in obj
-            ]
-            return _render_table(RUN_CSV_HEADER, rows)
-        if all(isinstance(r, LemmaReport) for r in obj):
-            rows = [(r.lemma_id, r.trials, r.max_violation, r.passed()) for r in obj]
-            return _render_table(LEMMA_CSV_HEADER, rows)
-    raise ConfigError(f"write_csv does not know how to render {type(obj)!r}")
+def render_csv(table) -> str:
+    """Render a ``(header, rows)`` table to CSV text: the header line, then one
+    line per row with LF newlines; None and NaN are empty cells."""
+    header, rows = table
+    return "".join([header + "\n", *(",".join(map(_fmt, row)) + "\n" for row in rows)])
 
 
-def _render_table(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def write_csv(obj, path) -> None:
-    """Write ``obj`` as UTF-8 CSV with LF endings; byte-stable per input."""
-    text = render_csv(obj)
+def write_csv(table, path) -> None:
+    """Write a ``(header, rows)`` table to ``path`` as UTF-8 CSV with LF endings,
+    creating the parent directory first; byte-stable per table."""
+    text = render_csv(table)
     try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     except OSError as exc:

@@ -44,6 +44,13 @@ BAD_VALUE_CONFIGS = {
     "mlp_zero_width_input": {"problem": "mlp", "dims": "0,3,2"},
     # sqrt(batch_size * parameter count) has no float64 value
     "batch_size=10**400": {"sigma": "0.5", "batch_size": str(10**400)},
+    # found only when the problem or its noise is built, as are the two above;
+    # each of these seven used to leave an empty output directory behind
+    "least_squares_dims=4,3": {"dims": "4,3"},
+    "factorization_dims=4,3": {"problem": "matrix_factorization", "dims": "4,3"},
+    "factorization_rank_above_min": {"problem": "matrix_factorization", "dims": "4,8,4"},
+    "factorization_minibatch": {"problem": "matrix_factorization", "dims": "6,2,5", "noise_kind": "minibatch"},
+    "mlp_one_layer": {"problem": "mlp", "dims": "4,2"},
 }
 
 # sigma=1.7e308 overflows a noisy gradient to inf, which the AdamW and Muon
@@ -89,8 +96,20 @@ class TestRunCommand:
     def test_run_writes_csv(self, run_config, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "--config", run_config, "--out", str(out)]) == EXIT_OK
-        assert (out / "run.csv").exists()
+        lines = (out / "run.csv").read_text().splitlines()
+        assert lines[0] == "step,loss,grad_fro,avg_grad_fro,alpha,d_bar,d_min,d_max"
+        assert len(lines) == 31  # one row per step
         assert "status=ok" in capsys.readouterr().out
+
+    def test_nested_out_is_created(self, run_config, tmp_path):
+        out = tmp_path / "a" / "b" / "c"
+        assert main(["run", "--config", run_config, "--out", str(out)]) == EXIT_OK
+        assert [path.name for path in out.iterdir()] == ["run.csv"]
+
+    def test_empty_out_writes_into_working_directory(self, run_config, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", run_config, "--out", ""]) == EXIT_OK
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run.csv", "run.ini"]
 
     def test_run_twice_is_byte_identical(self, run_config, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -105,7 +124,9 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
         assert (out / "run_000.csv").exists()
         assert (out / "run_001.csv").exists()
-        assert (out / "summary.csv").exists()
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert lines[0] == "repeat,seed,status,final_loss,final_avg_grad"
+        assert [line.split(",")[:3] for line in lines[1:]] == [["0", "3", "ok"], ["1", "4", "ok"]]
 
     def test_missing_config_is_config_error(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)])
@@ -129,7 +150,7 @@ class TestRunCommand:
         path.write_text(with_values(RUN_INI, BAD_VALUE_CONFIGS[name]))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
-        assert not (tmp_path / "o" / "run.csv").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_warmup_underflow_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
@@ -187,12 +208,13 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
         assert "status=ok" in capsys.readouterr().out
 
-    def test_unwritable_out_is_io_error(self, run_config, tmp_path):
+    def test_unwritable_out_is_io_error(self, run_config, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         # out path points through a regular file
         code = main(["run", "--config", run_config, "--out", str(blocker / "sub")])
         assert code == EXIT_IO
+        assert capsys.readouterr().err.startswith(f"i/o error: failed to write CSV to {blocker / 'sub' / 'run.csv'}: ")
 
 
 class TestSweepCommand:
@@ -236,6 +258,9 @@ class TestRatesCommand:
         )
         assert code == EXIT_OK
         assert (out / "rates.csv").read_text().splitlines()[0] == "T,final_avg_grad_fro"
+        lines = (out / "rate_summary.csv").read_text().splitlines()
+        assert lines[0] == "optimizer,regime,slope"
+        assert lines[1].startswith("namo,det,")
         assert "slope=" in capsys.readouterr().out
 
     def test_noise_overflow_is_numerical_failure(self, tmp_path, capsys):

@@ -20,7 +20,6 @@ from orthopt.harness import (
     STATUS_DIVERGED,
     STATUS_OK,
     SweepEntry,
-    SweepResult,
     batch_adaptation_experiment,
     build_problem,
     canonical_config_text,
@@ -40,6 +39,14 @@ from orthopt.optimizers import HyperParams
 from orthopt.orthogonalize import OrthConfig, OrthMethod
 from orthopt.problems import NoiseKind, NoiseModel
 from orthopt.verification import LemmaReport
+
+
+RUN_HEADER = "step,loss,grad_fro,avg_grad_fro,alpha,d_bar,d_min,d_max"
+
+
+def run_table(result):
+    """The ``(header, rows)`` table of ``result``'s records, as ``run.csv`` holds them."""
+    return RUN_HEADER, [dataclasses.astuple(r) for r in result.records]
 
 
 def small_config(optimizer="namo", steps=40, **kwargs):
@@ -90,7 +97,7 @@ class TestRun:
         a = run(small_config())
         b = run(small_config())
         assert a == b
-        assert render_csv(a) == render_csv(b)
+        assert render_csv(run_table(a)) == render_csv(run_table(b))
 
     def test_divergence_truncates_records(self):
         # the orthogonalized update itself is norm-bounded, so blow-up comes
@@ -635,58 +642,57 @@ class TestConfigFiles:
 class TestCsvOutput:
     def test_empty_records_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_csv([], path)
+        write_csv((RUN_HEADER, []), path)
         assert path.read_text() == "step,loss,grad_fro,avg_grad_fro,alpha,d_bar,d_min,d_max\n"
 
     def test_single_record_two_lines(self, tmp_path):
         record = RunRecord(step=1, loss=0.5, grad_fro=1.0, avg_grad_fro=1.0, alpha=0.25)
         path = tmp_path / "one.csv"
-        write_csv([record], path)
+        write_csv((RUN_HEADER, [dataclasses.astuple(record)]), path)
         lines = path.read_text().split("\n")
         assert len(lines) == 3 and lines[2] == ""
         assert lines[1].startswith("1,0.5,1,1,0.25,,,")
 
     def test_float_format_round_trips(self):
         record = RunRecord(step=1, loss=1.0 / 3.0, grad_fro=0.1, avg_grad_fro=0.1)
-        row = render_csv([record]).splitlines()[1]
+        row = render_csv((RUN_HEADER, [dataclasses.astuple(record)])).splitlines()[1]
         loss_text = row.split(",")[1]
         assert float(loss_text) == 1.0 / 3.0
 
     def test_byte_identical_for_identical_runs(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(run(small_config()), p1)
-        write_csv(run(small_config()), p2)
+        write_csv(run_table(run(small_config())), p1)
+        write_csv(run_table(run(small_config())), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_sweep_schema(self):
-        sweep = SweepResult(
-            entries=(SweepEntry("namo", 0.01, None, 0.5, 0.1, STATUS_OK),),
-            best=None,
-        )
-        text = render_csv(sweep)
-        assert text.splitlines()[0] == "optimizer,eta,c,final_loss,final_avg_grad,status"
+    def test_sweep_row_format(self):
+        entry = SweepEntry("namo", 0.01, None, 0.5, 0.1, STATUS_OK)
+        text = render_csv(("optimizer,eta,c,final_loss,final_avg_grad,status", [dataclasses.astuple(entry)]))
         # 17-significant-digit round-trip formatting
         assert text.splitlines()[1] == "namo,0.01,,0.5,0.10000000000000001,ok"
 
-    def test_lemma_schema(self):
+    def test_lemma_row_format(self):
         report = LemmaReport("SNR", 10, -1e-15)
-        text = render_csv([report])
-        assert text.splitlines()[0] == "lemma,trials,max_violation,pass"
+        row = (report.lemma_id, report.trials, report.max_violation, report.passed())
+        text = render_csv(("lemma,trials,max_violation,pass", [row]))
         assert text.splitlines()[1].endswith(",true")
 
-    def test_batch_schema(self):
+    def test_batch_row_format(self):
         result = BatchAdaptResult(((1, 0.5), (16, 0.25)))
-        text = render_csv(result)
-        assert text.splitlines()[0] == "b,mean_final_avg_grad_fro"
+        text = render_csv(("b,mean_final_avg_grad_fro", result.rows))
+        assert text.splitlines()[1:] == ["1,0.5", "16,0.25"]
 
-    def test_unknown_object_rejected(self):
-        with pytest.raises(ConfigError):
-            render_csv({"not": "supported"})
+    def test_missing_parent_directories_are_created(self, tmp_path):
+        target = tmp_path / "a" / "b" / "out.csv"
+        write_csv(("h", [(1,)]), target)
+        assert target.read_text() == "h\n1\n"
 
     def test_io_error_carries_path(self, tmp_path):
-        target = tmp_path / "missing_dir" / "out.csv"
-        with pytest.raises(OSError, match="missing_dir"):
-            write_csv([], target)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        # the parent is a regular file, so no directory can be made there
+        with pytest.raises(OSError, match="failed to write CSV to .*blocker"):
+            write_csv((RUN_HEADER, []), blocker / "out.csv")
 
 
 def test_reference_sweep_grids():
@@ -781,11 +787,11 @@ def test_run_bytes_do_not_depend_on_noise_block_size(monkeypatch, problem, dims)
     cfg = small_config("namo_d", steps=steps, problem=problem, problem_dims=dims, noise=NoiseModel(sigma=0.5))
     total = sum(math.prod(shape) for shape in build_problem(problem, dims, 0).params_spec)
     assert problems._NOISE_BLOCK_ENTRIES // total >= steps  # the default draws one block
-    want = render_csv(run(cfg))
+    want = render_csv(run_table(run(cfg)))
     # one row per block (a draw per step), then blocks of 50 rows: 50, 50, 30
     for entries in (1, 50 * total):
         monkeypatch.setattr(problems, "_NOISE_BLOCK_ENTRIES", entries)
-        assert render_csv(run(cfg)) == want
+        assert render_csv(run_table(run(cfg))) == want
 
 
 _PROPERTY_DIMS = {
