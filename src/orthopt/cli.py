@@ -155,7 +155,7 @@ def _cmd_sweep(args) -> int:
     if cs is None and config.optimizer == "namo_d":
         cs = list(DEFAULT_C_GRID)
     result = lr_sweep(config, etas, cs)
-    rows = [(e.optimizer, e.eta, e.c, e.final_loss, e.final_avg_grad, e.status) for e in result.entries]
+    rows = [(config.optimizer, e.eta, e.c, e.final_loss, e.final_avg_grad, e.status) for e in result.entries]
     write_csv(("optimizer,eta,c,final_loss,final_avg_grad,status", rows), os.path.join(args.out, "sweep.csv"))
     if result.best is None:
         print("sweep: all runs diverged")
@@ -265,6 +265,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:  # not a config error: a command may have written files by then
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OrthoptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -405,7 +405,6 @@ def run(config: RunConfig) -> RunResult:
 
 @dataclass(frozen=True)
 class SweepEntry:
-    optimizer: str
     eta: float
     c: Optional[float]
     final_loss: float
@@ -440,7 +439,6 @@ def lr_sweep(base: RunConfig, etas: Sequence[float], cs: Optional[Sequence[float
             result = run(replace(base, hyper=hp))
             entries.append(
                 SweepEntry(
-                    optimizer=base.optimizer,
                     eta=float(eta),
                     c=None if c is None else float(c),
                     final_loss=result.final_loss,

@@ -3,15 +3,15 @@
 Each factory writes one oracle, ``loss_and_grad(params, rows=None)``: one
 residual or forward pass gives the loss and its gradient, on the full data or,
 where a dataset exists, as the unbiased estimate from the data rows ``rows``.
-``_problem`` builds every ``Problem`` from it, so ``loss``, ``grad`` and
-``minibatch_grad`` are views of that one function.  Parameter shapes are read
-off the initial iterate.  ``stochastic_grad`` wraps a problem's gradient in
-either additive Gaussian noise calibrated so the aggregate squared Frobenius
-deviation is exactly sigma^2 / b in expectation, or minibatch subsampling.  It
-is one call of the oracle that ``harness.run`` builds once per run, which draws
-additive noise per block of steps, each row bitwise the draw of a per-step call.
-All randomness flows through the counter-based ``Rng``, so every draw is a
-pure function of (seed, stream, counter).
+``Problem`` derives ``loss``, ``grad`` and ``minibatch_grad`` from it, so they
+are views of that one function.  Parameter shapes are read off the initial
+iterate.  ``stochastic_grad`` wraps a problem's gradient in either additive
+Gaussian noise calibrated so the aggregate squared Frobenius deviation is
+exactly sigma^2 / b in expectation, or minibatch subsampling.  It is one call
+of the oracle that ``harness.run`` builds once per run, which draws additive
+noise per block of steps, each row bitwise the draw of a per-step call.  All
+randomness flows through the counter-based ``Rng``, so every draw is a pure
+function of (seed, stream, counter).
 """
 
 from __future__ import annotations
@@ -37,22 +37,32 @@ class Problem:
     """A differentiable objective over array parameters shaped as ``theta0``.
 
     ``loss_and_grad(params, rows=None)`` is the oracle: the loss and gradient
-    on the full data or, given ``rows`` (a 1-D array of distinct data rows),
-    their unbiased estimate from those rows.  ``loss``, ``grad`` and
-    ``minibatch_grad`` (``None`` without data) are its views, bit for bit.  An
-    MLP problem's oracle, on full data or on rows, writes into work buffers it
-    owns, so it must not be evaluated from two threads at once (``harness.run``
-    builds one per run).
+    on the full data or, given ``rows`` (a 1-D array of distinct data rows,
+    only with ``dataset_size``), their unbiased estimate from those rows.
+    ``loss``, ``grad`` and ``minibatch_grad`` (``None`` without a dataset) are
+    its views, bit for bit, derived unless passed in.  An MLP problem's oracle,
+    on full data or on rows, writes into work buffers it owns, so it must not
+    be evaluated from two threads at once (``harness.run`` builds one per run).
     """
 
     name: str
-    loss: Callable[[list[np.ndarray]], float]
-    grad: Callable[[list[np.ndarray]], list[np.ndarray]]
     loss_and_grad: Callable[..., tuple[float, list[np.ndarray]]]
     theta0: tuple[np.ndarray, ...]
-    minibatch_grad: Optional[Callable[[list[np.ndarray], np.ndarray], list[np.ndarray]]] = None
     dataset_size: Optional[int] = None
     data: dict = field(default_factory=dict)
+    loss: Optional[Callable[[list[np.ndarray]], float]] = None
+    grad: Optional[Callable[[list[np.ndarray]], list[np.ndarray]]] = None
+    minibatch_grad: Optional[Callable[[list[np.ndarray], np.ndarray], list[np.ndarray]]] = None
+
+    def __post_init__(self) -> None:
+        loss_and_grad = self.loss_and_grad
+        object.__setattr__(self, "theta0", tuple(self.theta0))
+        if self.loss is None:
+            object.__setattr__(self, "loss", lambda p: loss_and_grad(p)[0])
+        if self.grad is None:
+            object.__setattr__(self, "grad", lambda p: loss_and_grad(p)[1])
+        if self.minibatch_grad is None and self.dataset_size is not None:
+            object.__setattr__(self, "minibatch_grad", lambda p, rows: loss_and_grad(p, rows)[1])
 
     @property
     def params_spec(self) -> tuple[tuple[int, ...], ...]:
@@ -106,7 +116,7 @@ def make_matrix_least_squares(m: int, n: int, k: int, seed: int) -> Problem:
             return loss, [grad]
         return (k / rows.size) * loss, [(k / rows.size) * grad]  # b rows' sums estimate the k rows'
 
-    return _problem("matrix_least_squares", loss_and_grad, (theta0,), {"X": x, "Y": y}, dataset_size=k)
+    return Problem("matrix_least_squares", loss_and_grad, (theta0,), dataset_size=k, data={"X": x, "Y": y})
 
 
 def make_matrix_factorization(m: int, r: int, n: int, seed: int) -> Problem:
@@ -128,7 +138,7 @@ def make_matrix_factorization(m: int, r: int, n: int, seed: int) -> Problem:
         res = params[0] @ params[1] - c
         return 0.5 * float(np.add.reduce(res * res, axis=None)), [res @ params[1].T, params[0].T @ res]
 
-    return _problem("matrix_factorization", loss_and_grad, (a0, b0), {"A_star": a_star, "B_star": b_star, "C": c})
+    return Problem("matrix_factorization", loss_and_grad, (a0, b0), data={"A_star": a_star, "B_star": b_star, "C": c})
 
 
 def make_mlp_problem(layer_dims, dataset_size: int, seed: int) -> Problem:
@@ -186,21 +196,7 @@ def make_mlp_problem(layer_dims, dataset_size: int, seed: int) -> Problem:
                 delta *= a
         return 0.5 * float(np.add.reduce(err**2, axis=None)) / xs.shape[0], grads
 
-    return _problem("mlp", loss_and_grad, theta0, {"X": x_data, "Y": y_data}, dataset_size=dataset_size)
-
-
-def _problem(name: str, loss_and_grad, theta0, data: dict, dataset_size: Optional[int] = None) -> Problem:
-    """The ``Problem`` over ``loss_and_grad``, which takes ``rows`` iff ``dataset_size`` is set."""
-    return Problem(
-        name=name,
-        loss=lambda p: loss_and_grad(p)[0],
-        grad=lambda p: loss_and_grad(p)[1],
-        loss_and_grad=loss_and_grad,
-        theta0=tuple(theta0),
-        minibatch_grad=None if dataset_size is None else lambda p, rows: loss_and_grad(p, rows)[1],
-        dataset_size=dataset_size,
-        data=data,
-    )
+    return Problem("mlp", loss_and_grad, theta0, dataset_size=dataset_size, data={"X": x_data, "Y": y_data})
 
 
 def _mlp_forward(params: list[np.ndarray], xs: np.ndarray, hidden: list[np.ndarray]) -> np.ndarray:

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import orthopt
 from orthopt.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from orthopt.errors import InputError
+from orthopt.harness import DEFAULT_C_GRID, DEFAULT_ETA_GRIDS
 
 RUN_INI = """\
 [run]
@@ -216,6 +218,20 @@ class TestRunCommand:
         assert code == EXIT_IO
         assert capsys.readouterr().err.startswith(f"i/o error: failed to write CSV to {blocker / 'sub' / 'run.csv'}: ")
 
+    def test_out_of_memory_is_one_line_error(self, run_config, tmp_path, capsys, monkeypatch):
+        # numpy's error for an mlp with dataset_size = 10**12, raised here: a real allocation
+        # may succeed under memory overcommit and get the process killed later
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000, 1) and data type float64"
+
+        def refuse(config):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(orthopt.harness, "make_problem", refuse)
+        out = tmp_path / "o"
+        assert main(["run", "--config", run_config, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_sweep(self, run_config, tmp_path, capsys):
@@ -234,6 +250,16 @@ class TestSweepCommand:
         path.write_text(NOISE_OVERFLOW_INI)
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
         assert capsys.readouterr().out == "sweep: all runs diverged\n"
+
+    def test_namo_d_sweeps_the_default_grids_eta_major(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text(with_values(RUN_INI, {"optimizer": "namo_d"}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        got = [(optimizer, float(eta), float(c)) for optimizer, eta, c, *_ in rows]
+        assert got == [("namo_d", eta, c) for eta in DEFAULT_ETA_GRIDS["namo_d"] for c in DEFAULT_C_GRID]
+        assert len(got) == 20
 
     def test_cs_for_wrong_optimizer_is_config_error(self, run_config, tmp_path):
         code = main(
@@ -276,6 +302,15 @@ class TestRatesCommand:
         )
         assert code == EXIT_CHECK_FAILED
         assert capsys.readouterr().err.startswith("numerical failure: only 0 of 3 horizons completed")
+
+    def test_input_error_is_error_exit_1(self, tmp_path, capsys, monkeypatch):
+        def fail(**kwargs):
+            raise InputError("counter out of range")
+
+        monkeypatch.setattr(orthopt.cli, "rate_experiment", fail)
+        argv = ["rates", "--problem", "matrix_least_squares", "--optimizer", "namo", "--T", "4,8,16", "--regime", "det"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: counter out of range\n"
 
     def test_bad_regime_is_config_error(self, tmp_path):
         code = main(
@@ -572,6 +607,14 @@ def test_reused_parser_carries_no_state_between_calls(tmp_path, capsys):
     fresh = tmp_path / "fresh"
     assert stdout == verify_lemmas_in_fresh_interpreter(fresh)
     assert (out / "lemmas.csv").read_bytes() == (fresh / "lemmas.csv").read_bytes()
+
+
+def test_blas_pin_without_the_library_returns_quietly(monkeypatch):
+    def no_library(path):
+        raise OSError(f"{path}: cannot open shared object file")
+
+    monkeypatch.setattr(orthopt.cli.ctypes, "CDLL", no_library)
+    assert orthopt.cli._pin_blas_to_one_thread.__wrapped__() is None
 
 
 def test_unknown_command_is_config_error():

@@ -155,13 +155,7 @@ class TestRun:
         def loss_and_grad(params, rows=None):
             return 1.0, [np.ones_like(p) for p in params]
 
-        problem = problems.Problem(
-            name="flat",
-            loss=lambda p: loss_and_grad(p)[0],
-            grad=lambda p: loss_and_grad(p)[1],
-            loss_and_grad=loss_and_grad,
-            theta0=(np.zeros(3),),
-        )
+        problem = problems.Problem(name="flat", loss_and_grad=loss_and_grad, theta0=(np.zeros(3),))
         monkeypatch.setattr(harness, "make_problem", lambda config: problem)
         result = run(small_config("adamw", steps=10, hyper=default_hyperparams("adamw", eta=1e308, weight_decay=0.0)))
         assert result.status == STATUS_DIVERGED
@@ -267,6 +261,11 @@ class TestRun:
         with pytest.raises(ConfigError):
             small_config(log_every=0)
 
+    def test_unknown_optimizer_built_directly_is_config_error(self):
+        # a config file fails earlier, in default_hyperparams
+        with pytest.raises(ConfigError, match="unknown optimizer id: 'sgd'"):
+            RunConfig("matrix_least_squares", (4, 3, 6), "sgd", default_hyperparams("namo"), steps=10)
+
     @pytest.mark.parametrize("eta, warmup_steps", [(5e-324, 2), (1e-323, 5)])
     def test_warmup_step_size_underflow_is_config_error(self, eta, warmup_steps):
         # eta / warmup_steps rounds to 0, a step size HyperParams rejects
@@ -288,9 +287,9 @@ class TestSweep:
 
     def test_argmin_and_tie_break(self):
         entries = (
-            SweepEntry("namo", 0.02, None, 1.0, 0.5, STATUS_OK),
-            SweepEntry("namo", 0.01, None, 1.0, 0.5, STATUS_OK),
-            SweepEntry("namo", 0.03, None, 2.0, 0.5, STATUS_OK),
+            SweepEntry(0.02, None, 1.0, 0.5, STATUS_OK),
+            SweepEntry(0.01, None, 1.0, 0.5, STATUS_OK),
+            SweepEntry(0.03, None, 2.0, 0.5, STATUS_OK),
         )
         best = min(entries, key=lambda e: (e.final_loss, e.eta, e.c or 0.0))
         assert best.eta == 0.01  # tie resolved toward the smaller eta
@@ -460,6 +459,13 @@ problem_seed = 0
 
 
 class TestConfigFiles:
+    def test_file_without_run_section_is_config_error(self, tmp_path):
+        path = tmp_path / "other.ini"
+        path.write_text("[other]\nproblem = matrix_least_squares\n")
+        with pytest.raises(ConfigError) as info:
+            load_run_config(str(path))
+        assert str(info.value) == f"invalid config {path}: no [run] section"
+
     def test_round_trip(self, tmp_path):
         text = (
             "[run]\n"
@@ -666,8 +672,9 @@ class TestCsvOutput:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_sweep_row_format(self):
-        entry = SweepEntry("namo", 0.01, None, 0.5, 0.1, STATUS_OK)
-        text = render_csv(("optimizer,eta,c,final_loss,final_avg_grad,status", [dataclasses.astuple(entry)]))
+        entry = SweepEntry(0.01, None, 0.5, 0.1, STATUS_OK)
+        row = ("namo", *dataclasses.astuple(entry))  # the CLI writes the config's optimizer first
+        text = render_csv(("optimizer,eta,c,final_loss,final_avg_grad,status", [row]))
         # 17-significant-digit round-trip formatting
         assert text.splitlines()[1] == "namo,0.01,,0.5,0.10000000000000001,ok"
 

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -158,6 +159,10 @@ class TestMlpProblem:
         with pytest.raises(ConfigError):
             make_mlp_problem((3, 2), dataset_size=8, seed=0)
 
+    def test_empty_dataset_is_config_error(self):
+        with pytest.raises(ConfigError, match="dataset_size must be positive"):
+            make_mlp_problem((3, 5, 2), dataset_size=0, seed=0)
+
 
 def reference_mlp_loss_and_grad(params, xs, ys):
     """The MLP oracle written with a fresh array per operation."""
@@ -295,8 +300,6 @@ class TestFiniteDifference:
     def test_quadratic_is_exact_for_any_h(self):
         problem = Problem(
             name="half_square",
-            loss=lambda p: 0.5 * float(p[0][0, 0]) ** 2,
-            grad=lambda p: [p[0].copy()],
             loss_and_grad=lambda p: (0.5 * float(p[0][0, 0]) ** 2, [p[0].copy()]),
             theta0=(np.array([[1.7]]),),
         )
@@ -320,6 +323,11 @@ class TestFiniteDifference:
         problem = make_matrix_least_squares(2, 2, 3, seed=0)
         with pytest.raises(InputError):
             finite_difference_grad(problem, problem.initial_params(), h=0.0)
+
+    def test_parameter_count_validation(self):
+        problem = make_matrix_factorization(4, 2, 3, seed=0)
+        with pytest.raises(DimensionError, match="^expected 2 parameters, got 1$"):
+            finite_difference_grad(problem, problem.initial_params()[:1], h=1e-3)
 
 
 def test_problem_data_generation_is_seed_deterministic():
@@ -354,3 +362,27 @@ def test_loss_and_grad_is_bitwise_loss_and_grad(problem):
             fused = problem.loss_and_grad(params, rows)[1]
             for f, m in zip(fused, problem.minibatch_grad(params, rows), strict=True):
                 np.testing.assert_array_equal(f, m)
+
+
+def test_problem_derives_its_views_from_the_oracle_alone():
+    k = 5
+    x = Rng(3).normal_matrix(k, 2)
+
+    def loss_and_grad(params, rows=None):
+        xs = x if rows is None else x[rows]
+        r = xs @ params[0]
+        return (k / len(xs)) * 0.5 * float(r @ r), [(k / len(xs)) * (xs.T @ r)]
+
+    problem = Problem("hand_built", loss_and_grad, [np.array([0.3, -1.2])], dataset_size=k)
+    assert isinstance(problem.theta0, tuple)
+    params, rows = problem.initial_params(), np.array([3, 0])
+    loss, (grad,) = loss_and_grad(params)
+    assert problem.loss(params) == loss
+    np.testing.assert_array_equal(problem.grad(params)[0], grad)
+    np.testing.assert_array_equal(problem.minibatch_grad(params, rows)[0], loss_and_grad(params, rows)[1][0])
+    assert Problem("no_data", loss_and_grad, (np.zeros(2),)).minibatch_grad is None
+    # the views passed to replace are kept, as the benchmark's tracer wraps them
+    f, g, h = (lambda p: 0.0), (lambda p: []), (lambda p, rows: [])
+    kept = dataclasses.replace(problem, loss=f, grad=g, minibatch_grad=h)
+    assert (kept.loss, kept.grad, kept.minibatch_grad) == (f, g, h)
+    assert kept.loss_and_grad is loss_and_grad
