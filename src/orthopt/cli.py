@@ -237,8 +237,8 @@ _COMMANDS = {
 @functools.cache
 def _pin_blas_to_one_thread() -> None:
     """Run numpy's OpenBLAS on one thread, since beyond 128x128 gesdd's bits
-    depend on the thread count.  A build without the symbol (numpy 1.x names
-    it otherwise) keeps its thread count."""
+    depend on the thread count.  A build without the symbol (one linked
+    against a system OpenBLAS or another BLAS) keeps its thread count."""
     try:  # dlsym on numpy's extension module also searches the OpenBLAS it links
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
         get_threads, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_

@@ -428,7 +428,9 @@ def lr_sweep(base: RunConfig, etas: Sequence[float], cs: Optional[Sequence[float
         raise ConfigError("eta grid must be nonempty")
     if cs is not None and base.optimizer != "namo_d":
         raise ConfigError("a c grid only applies to the namo_d optimizer")
-    c_grid: Sequence[Optional[float]] = list(cs) if cs else [None]
+    c_grid: Sequence[Optional[float]] = [None] if cs is None else list(cs)
+    if not c_grid:
+        raise ConfigError("c grid must be nonempty")
 
     entries: list[SweepEntry] = []
     for eta in etas:

@@ -7,14 +7,14 @@ functions of their grids and seeds, and trial k of a randomized check draws
 only from ``rng.substream(k)``, so ``max_violation`` at ``trials = k`` is the
 worst of the first k trials and bisecting ``trials`` finds the first failing
 one.  A NaN violation is the worst case: the first one becomes the report's
-``max_violation`` and fails the check.  The array forms of the SNR, PHI_EPS
-and series checks give the bits of their scalar loops.
+``max_violation`` and fails the check.  The array forms of the SNR and
+PHI_EPS checks give the bits of their scalar loops.
 
 The randomized checks run in trial blocks bounded by an entry budget: each
 draw comes for the whole block from one ``rng.draws``, a block's SNR
 recursions run on one stack (``snr_ratio`` is a batch of one), and one SVD per
-trace trial gives both sides.  The series checks build 1 - mu^t once per process for
-the module grid.
+trace trial gives both sides.  The series checks sum their terms one scalar
+at a time and compute each grid's report once per process.
 
 Checked statements:
 
@@ -175,49 +175,29 @@ def check_phi_eps() -> LemmaReport:
     return _report("PHI_EPS", violation.size, violation.ravel())
 
 
-# The two series as (direct sum, closed-form bound) for each T of an ascending grid: the
-# powers 1 - mu^t up to the largest T are built once, with Python's libm pow (np.power
-# does not match it), the terms follow with / and np.sqrt (correctly rounded, as in
-# scalar code), and each sum is an fsum prefix.  For 0 < mu < 1, mu^t < e^-37.5 < 2^-54
-# once t > 37.5 / -ln(mu), so with a pow within an ulp (glibc's) 1 - mu^t and the term
-# are exactly 1.0 from there on: _built stops there, and those terms are counted instead.
-def _built(mu: float, t_max: int) -> int:
-    return min(t_max, int(37.5 / -math.log(mu))) if 0.0 < mu < 1.0 else t_max
-
-
-def _series_powers(mus, t_max: int) -> list[tuple[float, np.ndarray]]:
-    return [(mu, np.array([1.0 - mu**t for t in range(1, _built(mu, t_max) + 1)], dtype=np.float64)) for mu in mus]
-
-
-def _mut_sides(mu: float, one_minus: np.ndarray, t_grid) -> list[tuple[float, float]]:
-    terms = (1.0 / one_minus).tolist()
-    return [(math.fsum([*terms[:n], max(0, n - len(terms))]),
-             n + mu / (1.0 - mu) - math.log((1.0 - mu**n) / (1.0 - mu)) / math.log(mu)) for n in t_grid]
-
-
-def _mutsqrt_sides(mu: float, one_minus: np.ndarray, t_grid) -> list[tuple[float, float]]:
-    terms = (1.0 / np.sqrt(one_minus)).tolist()
-    return [(math.fsum([*terms[:n], max(0, n - len(terms))]),
-             n - 2.0 * math.log(1.0 + math.sqrt(1.0 - mu**n)) / math.log(mu)) for n in t_grid]
-
-
-@functools.lru_cache(maxsize=1)
-def _grid_powers(mus, t_max: int) -> tuple[tuple[float, np.ndarray], ...]:
-    """``_series_powers`` of the module grid, kept read-only for the process (about 113 KB)."""
-    powers = _series_powers(mus, t_max)
-    for _, one_minus in powers:
-        one_minus.flags.writeable = False
-    return tuple(powers)
+# The two series as (direct sum, closed-form bound), each sum an fsum of scalar terms that
+# take mu^t from Python's libm pow (np.power does not match it).  For 0 < mu < 1,
+# mu^t < e^-37.5 < 2^-54 once t > 37.5 / -ln(mu), so with a pow within an ulp (glibc's)
+# 1 - mu^t and the term are exactly 1.0 from there on: _built stops there, and those
+# terms are counted instead of built.
+def _built(mu: float, t_steps: int) -> int:
+    if not 0.0 < mu < 1.0 or t_steps < 1:
+        raise InputError(f"the series need 0 < mu < 1 and T >= 1, got {mu=}, {t_steps=}")
+    return min(t_steps, int(37.5 / -math.log(mu)))
 
 
 def series_mut_sides(mu: float, t_steps: int) -> tuple[float, float]:
     """Direct sum and closed-form bound for sum 1/(1-mu^t)."""
-    return _mut_sides(*_series_powers([mu], t_steps)[0], (t_steps,))[0]
+    built = _built(mu, t_steps)
+    lhs = math.fsum([*(1.0 / (1.0 - mu**t) for t in range(1, built + 1)), t_steps - built])
+    return lhs, t_steps + mu / (1.0 - mu) - math.log((1.0 - mu**t_steps) / (1.0 - mu)) / math.log(mu)
 
 
 def series_mutsqrt_sides(mu: float, t_steps: int) -> tuple[float, float]:
     """Direct sum and closed-form bound for sum 1/sqrt(1-mu^t)."""
-    return _mutsqrt_sides(*_series_powers([mu], t_steps)[0], (t_steps,))[0]
+    built = _built(mu, t_steps)
+    lhs = math.fsum([*(1.0 / math.sqrt(1.0 - mu**t) for t in range(1, built + 1)), t_steps - built])
+    return lhs, t_steps - 2.0 * math.log(1.0 + math.sqrt(1.0 - mu**t_steps)) / math.log(mu)
 
 
 _SERIES_MU_GRID = (0.5, 0.9, 0.99, 0.999)
@@ -225,19 +205,21 @@ _SERIES_T_GRID = (1, 10, 100, 1000, 10000)
 
 
 def check_series_mut() -> LemmaReport:
-    return _check_series("SERIES_MUT", _mut_sides)
+    return _check_series("SERIES_MUT", _SERIES_MU_GRID, _SERIES_T_GRID)
 
 
 def check_series_mutsqrt() -> LemmaReport:
-    return _check_series("SERIES_MUTSQRT", _mutsqrt_sides)
+    return _check_series("SERIES_MUTSQRT", _SERIES_MU_GRID, _SERIES_T_GRID)
 
 
-def _check_series(lemma_id: str, sides) -> LemmaReport:
-    violations = []
-    for mu, one_minus in _grid_powers(_SERIES_MU_GRID, _SERIES_T_GRID[-1]):
-        # Relative scaling keeps the check meaningful when both sides are
-        # large (the T = 1 case is an exact equality up to roundoff).
-        violations += [(lhs - rhs) / max(1.0, abs(rhs)) for lhs, rhs in sides(mu, one_minus, _SERIES_T_GRID)]
+# One report per lemma and grid for the process.  The key holds no function: a tracer that
+# rebinds series_mut_sides to a fresh wrapper per pass would otherwise add an entry per pass.
+@functools.cache
+def _check_series(lemma_id: str, mu_grid: tuple, t_grid: tuple) -> LemmaReport:
+    sides = series_mut_sides if lemma_id == "SERIES_MUT" else series_mutsqrt_sides
+    # Relative scaling keeps the check meaningful when both sides are
+    # large (the T = 1 case is an exact equality up to roundoff).
+    violations = [(lhs - rhs) / max(1.0, abs(rhs)) for lhs, rhs in (sides(mu, n) for mu in mu_grid for n in t_grid)]
     return _report(lemma_id, len(violations), violations)
 
 

@@ -326,6 +326,10 @@ class TestSweep:
         with pytest.raises(ConfigError):
             lr_sweep(small_config(), [])
 
+    def test_empty_c_grid_rejected(self):
+        with pytest.raises(ConfigError, match="c grid must be nonempty"):
+            lr_sweep(small_config("namo_d", steps=15), [0.01], cs=[])
+
 
 class TestTheoremSchedule:
     def test_deterministic_schedule(self):

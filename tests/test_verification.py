@@ -123,6 +123,13 @@ class TestSeriesBounds:
         lhs, rhs = series_mutsqrt_sides(0.9, 100)
         assert lhs <= rhs
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sides", [series_mut_sides, series_mutsqrt_sides])
+    @pytest.mark.parametrize("mu, t_steps", [(mu, 5) for mu in (0.0, 1.0, 1.5, -0.5)] + [(0.5, 0), (0.5, -3)])
+    def test_out_of_range_input_is_input_error(self, sides, mu, t_steps):
+        with pytest.raises(InputError, match="0 < mu < 1 and T >= 1"):
+            sides(mu, t_steps)
+
     def test_default_grids_pass(self):
         assert check_series_mut().max_violation <= LEMMA_TOLERANCES["SERIES_MUT"]
         assert check_series_mutsqrt().max_violation <= LEMMA_TOLERANCES["SERIES_MUTSQRT"]
@@ -558,34 +565,31 @@ class TestBlocksAndMemory:
         assert peak < 1_000_000, peak
 
 
-class TestSeriesPowersCache:
-    def grid_powers(self):
-        return verification._grid_powers(verification._SERIES_MU_GRID, verification._SERIES_T_GRID[-1])
-
+class TestSeriesReportCache:
     @pytest.mark.parametrize("seed", [0, 5, 2026])
     def test_cold_and_warm_reports_are_bit_identical(self, seed):
-        verification._grid_powers.cache_clear()
+        verification._check_series.cache_clear()
         cold = run_all_checks(trials=32, seed=seed, bound_scale=1.0)
-        assert verification._grid_powers.cache_info().currsize == 1
+        assert verification._check_series.cache_info().currsize == 2
         warm = run_all_checks(trials=32, seed=seed, bound_scale=1.0)
         assert [_report_bits(r) for r in warm] == [_report_bits(r) for r in cold]
-
-    def test_cached_powers_are_the_built_ones_and_read_only(self):
-        powers = self.grid_powers()
-        built = verification._series_powers(verification._SERIES_MU_GRID, verification._SERIES_T_GRID[-1])
-        assert [(mu, a.tobytes()) for mu, a in powers] == [(mu, a.tobytes()) for mu, a in built]
-        for _, one_minus in powers:
-            with pytest.raises(ValueError):
-                one_minus[0] = 0.5
-        # the module grid holds 54 + 355 + 3731 + 10000 powers
-        assert sum(a.nbytes for _, a in powers) == 8 * 14140
+        assert warm[2] is cold[2] and warm[3] is cold[3]
 
     def test_public_sides_leave_the_cache_alone(self):
-        self.grid_powers()
-        info = verification._grid_powers.cache_info()
-        assert info.maxsize == 1
+        check_series_mut()
+        info = verification._check_series.cache_info()
         for mu, t_steps in [(0.95, 77), (0.3, 5), (0.999, 20000)]:
             series_mut_sides(mu, t_steps)
             series_mutsqrt_sides(mu, t_steps)
-        after = verification._grid_powers.cache_info()
-        assert (after.currsize, after.hits, after.misses) == (info.currsize, info.hits, info.misses)
+        assert verification._check_series.cache_info() == info
+
+    def test_rebound_sides_leave_the_cache_alone(self, monkeypatch):
+        # a tracer binds a fresh wrapper of each public function on every pass
+        reports = [check_series_mut(), check_series_mutsqrt()]
+        size = verification._check_series.cache_info().currsize
+        for _ in range(3):
+            for name, sides in [("series_mut_sides", series_mut_sides), ("series_mutsqrt_sides", series_mutsqrt_sides)]:
+                monkeypatch.setattr(verification, name, lambda mu, t_steps, sides=sides: sides(mu, t_steps))
+            again = [check_series_mut(), check_series_mutsqrt()]
+            assert [_report_bits(r) for r in again] == [_report_bits(r) for r in reports]
+            assert verification._check_series.cache_info().currsize == size

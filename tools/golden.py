@@ -140,11 +140,9 @@ def build_fingerprint() -> str:
         openblas = get_config().decode()
     except (AttributeError, OSError):
         openblas = None
-    try:  # the build's install paths say nothing about its arithmetic
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = {key: value for key, value in blas.items() if "directory" not in key}
-    except TypeError:  # numpy before 1.26 has no mode
-        blas = None
+    # the build's install paths say nothing about its arithmetic
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    blas = {key: value for key, value in blas.items() if "directory" not in key}
     return json.dumps(
         {
             "numpy": np.__version__,
