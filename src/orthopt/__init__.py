@@ -35,13 +35,12 @@ from .optimizers import (
     MuonState,
     NamoDState,
     NamoState,
-    ParameterRule,
     StepDiagnostics,
     adamw_step,
+    is_matrix_parameter,
     muon_step,
     namo_d_step,
     namo_step,
-    route_parameter,
 )
 from .problems import (
     NoiseKind,

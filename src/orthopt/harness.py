@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import itertools
 import math
 import os
 from collections import defaultdict
@@ -40,15 +41,14 @@ from .optimizers import (
     MuonState,
     NamoDState,
     NamoState,
-    ParameterRule,
     StepDiagnostics,
     adamw_step,
+    is_matrix_parameter,
     muon_step,
     namo_d_step,
     namo_step,
-    route_parameter,
 )
-from .orthogonalize import OrthConfig, OrthMethod
+from .orthogonalize import EXACT, OrthConfig, OrthMethod
 from .problems import (
     NoiseModel,
     Problem,
@@ -326,13 +326,13 @@ def run(config: RunConfig) -> RunResult:
     problem = make_problem(config)
     theta = problem.initial_params()
     hp = config.hyper
-    fallback_hp = default_hyperparams("adamw", eta=hp.eta, weight_decay=hp.weight_decay, orth=hp.orth)
+    fallback_hp = default_hyperparams("adamw", eta=hp.eta, weight_decay=hp.weight_decay)
     rng = Rng(config.seed, stream=derive_stream(config))
     oracle = _gradient_oracle(problem, config.noise, rng, config.steps)
 
     plans = [
         (config.optimizer, hp)
-        if config.optimizer == "adamw" or route_parameter(p.shape) is ParameterRule.MATRIX
+        if config.optimizer == "adamw" or is_matrix_parameter(p.shape)
         else ("adamw", fallback_hp)
         for p in theta
     ]
@@ -424,30 +424,20 @@ def lr_sweep(base: RunConfig, etas: Sequence[float], cs: Optional[Sequence[float
     The argmin is over completed runs only, by final training loss, with ties
     broken toward the smaller learning rate (then smaller c).
     """
-    if not etas:
+    eta_grid = [float(eta) for eta in etas]
+    if not eta_grid:
         raise ConfigError("eta grid must be nonempty")
     if cs is not None and base.optimizer != "namo_d":
         raise ConfigError("a c grid only applies to the namo_d optimizer")
-    c_grid: Sequence[Optional[float]] = [None] if cs is None else list(cs)
+    c_grid = [None] if cs is None else [float(c) for c in cs]
     if not c_grid:
         raise ConfigError("c grid must be nonempty")
 
     entries: list[SweepEntry] = []
-    for eta in etas:
-        for c in c_grid:
-            hp = replace(base.hyper, eta=float(eta)) if c is None else replace(
-                base.hyper, eta=float(eta), clamp_c=float(c)
-            )
-            result = run(replace(base, hyper=hp))
-            entries.append(
-                SweepEntry(
-                    eta=float(eta),
-                    c=None if c is None else float(c),
-                    final_loss=result.final_loss,
-                    final_avg_grad=result.final_avg_grad,
-                    status=result.status,
-                )
-            )
+    for eta, c in itertools.product(eta_grid, c_grid):
+        hp = replace(base.hyper, eta=eta, clamp_c=base.hyper.clamp_c if c is None else c)
+        result = run(replace(base, hyper=hp))
+        entries.append(SweepEntry(eta, c, result.final_loss, result.final_avg_grad, result.status))
     completed = [e for e in entries if e.status == STATUS_OK]
     best = min(
         completed,
@@ -495,7 +485,7 @@ def _theorem_config(name, dims, optimizer, regime, t_steps, **fields) -> RunConf
         **theorem_schedule(regime, t_steps),
         weight_decay=0.0,
         clamp_c=_THEOREM_CLAMP_C if optimizer == "namo_d" else 1.0,
-        orth=OrthConfig(method=OrthMethod.EXACT),
+        orth=EXACT,
     )
     steps = int(t_steps)
     dims = tuple(int(d) for d in dims)

@@ -28,7 +28,6 @@ the convention Muon uses for convolution weights.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -218,19 +217,12 @@ def adamw_step(theta, grad, state: AdamWState, hp: HyperParams):
     return th - update, AdamWState(m=m_new, v=v_new, t=t_new), StepDiagnostics()
 
 
-class ParameterRule(enum.Enum):
-    MATRIX = "matrix"
-    FALLBACK = "fallback"
-
-
-def route_parameter(shape) -> ParameterRule:
-    """Route genuine matrices to the matrix rule, everything else to AdamW.
+def is_matrix_parameter(shape) -> bool:
+    """Whether a parameter of ``shape`` takes the matrix rule; AdamW takes the rest.
 
     Shapes with fewer than two dimensions, or with any dimension equal to 1,
     go to the fallback: orthogonalizing a 1-by-n matrix degenerates to
     normalization, which defeats the point of the matrix rules.
     """
     dims = tuple(int(d) for d in shape)
-    if len(dims) >= 2 and all(d > 1 for d in dims):
-        return ParameterRule.MATRIX
-    return ParameterRule.FALLBACK
+    return len(dims) >= 2 and all(d > 1 for d in dims)

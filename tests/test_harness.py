@@ -417,6 +417,29 @@ class TestBatchAdaptation:
             batch_adaptation_experiment("matrix_least_squares", (4, 3, 6), "namo", 10, 1.0, b_list, seeds)
 
 
+@pytest.mark.parametrize(
+    "experiment, kwargs",
+    [
+        (lr_sweep, dict(base=small_config(steps=15), etas=[0.01, 0.02])),
+        (lr_sweep, dict(base=small_config("namo_d", steps=15), etas=[0.01, 0.02], cs=[0.4, 0.9])),
+        (rate_experiment, dict(
+            problem_name="matrix_factorization", problem_dims=(6, 2, 6), optimizer="namo",
+            t_list=[32, 64, 128], regime="det",
+        )),
+        (batch_adaptation_experiment, dict(
+            problem_name="matrix_least_squares", problem_dims=(4, 3, 6), optimizer="namo",
+            t_steps=10, sigma=1.0, b_list=[1, 4], seeds=[1, 2, 3],
+        )),
+    ],
+    ids=["lr_sweep", "lr_sweep_c_grid", "rate_experiment", "batch_adaptation_experiment"],
+)
+def test_numpy_array_grids_match_list_grids(experiment, kwargs):
+    # an eta grid of two or more entries given as a numpy array once raised
+    # numpy's ambiguous-truth-value ValueError
+    arrays = {key: np.array(value) if isinstance(value, list) else value for key, value in kwargs.items()}
+    assert experiment(**arrays) == experiment(**kwargs)
+
+
 def readme_config_block():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     return readme.split("```ini\n", 1)[1].split("```", 1)[0]

@@ -12,13 +12,12 @@ from orthopt.optimizers import (
     MuonState,
     NamoDState,
     NamoState,
-    ParameterRule,
     _clamp,
     adamw_step,
+    is_matrix_parameter,
     muon_step,
     namo_d_step,
     namo_step,
-    route_parameter,
 )
 from orthopt.orthogonalize import EXACT, NEWTON_SCHULZ
 from orthopt.rng import Rng
@@ -388,19 +387,19 @@ class TestAdamWStep:
 
 class TestRouting:
     @pytest.mark.parametrize(
-        "shape,rule",
+        "shape,is_matrix",
         [
-            ((64, 32), ParameterRule.MATRIX),
-            ((64,), ParameterRule.FALLBACK),
-            ((1, 8), ParameterRule.FALLBACK),
-            ((8, 1), ParameterRule.FALLBACK),
-            ((3, 3), ParameterRule.MATRIX),
-            ((), ParameterRule.FALLBACK),
-            ((2, 3, 4), ParameterRule.MATRIX),
+            ((64, 32), True),
+            ((64,), False),
+            ((1, 8), False),
+            ((8, 1), False),
+            ((3, 3), True),
+            ((), False),
+            ((2, 3, 4), True),
         ],
     )
-    def test_route(self, shape, rule):
-        assert route_parameter(shape) is rule
+    def test_route(self, shape, is_matrix):
+        assert is_matrix_parameter(shape) is is_matrix
 
 
 def test_namo_update_direction_stays_orthogonal():
@@ -454,7 +453,7 @@ def test_step_determinism():
     "step,state_cls", [(namo_step, NamoState), (namo_d_step, NamoDState), (muon_step, MuonState)]
 )
 def test_three_dim_parameter_steps_as_its_matrix_reshape(step, state_cls):
-    # route_parameter sends (2, 3, 4) to the matrix rule, which steps it as
+    # is_matrix_parameter sends (2, 3, 4) to the matrix rule, which steps it as
     # its (2, 12) matrix and hands back the original shape
     rng = Rng(62)
     hp = HyperParams(eta=0.05, weight_decay=0.01, clamp_c=0.5, orth=EXACT)
