@@ -72,13 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a single configured run")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", required=True)
 
     p_sweep = sub.add_parser("sweep", help="learning-rate (and c) grid sweep")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--etas", type=_float_list, default=None)
     p_sweep.add_argument("--cs", type=_float_list, default=None)
-    p_sweep.add_argument("--out", required=True)
 
     p_rates = sub.add_parser("rates", help="convergence-rate slope experiment")
     p_rates.add_argument("--problem", required=True)
@@ -90,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rates.add_argument("--seed", type=int, default=0)
     p_rates.add_argument("--sigma", type=float, default=0.0)
     p_rates.add_argument("--b", type=int, default=1)
-    p_rates.add_argument("--out", required=True)
 
     p_ver = sub.add_parser("verify-lemmas", help="numerical lemma certification")
     p_ver.add_argument("--trials", type=int, default=1000)
@@ -101,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="self-test hook: scale the asserted SNR bound (values < 1 force a failure)",
     )
-    p_ver.add_argument("--out", required=True)
 
     p_batch = sub.add_parser("batch-adapt", help="batch-size noise-adaptation experiment")
     p_batch.add_argument("--sigma", type=float, required=True)
@@ -112,8 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--T", dest="t_steps", type=int, default=512)
     p_batch.add_argument("--dims", type=_int_list, default=None)
     p_batch.add_argument("--problem-seed", type=int, default=0)
-    p_batch.add_argument("--out", required=True)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True)
     return parser
 
 

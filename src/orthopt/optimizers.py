@@ -21,9 +21,9 @@ NAMO/NAMO-D:
 With lambda = 0 the NAMO/NAMO-D updates reduce to the plain two-moment
 recursions over the gradient stream.
 
-Steps validate their inputs once on entry.  The matrix steps treat a
-parameter with more than two dimensions as its (d0, d1 * ... * dk) matrix,
-the convention Muon uses for convolution weights.
+All four steps share one validated start that counts the step and mu1-averages the
+gradient over (d0, d1 * ... * dk) views: matrix steps see a 3-D+ parameter as that
+matrix, as Muon does convolution weights; element-wise AdamW keeps its bits on it.
 """
 
 from __future__ import annotations
@@ -130,21 +130,23 @@ class StepDiagnostics:
     d_bar: float | None = None
 
 
-def _check_step_inputs(theta, grad, state_shape) -> tuple[np.ndarray, np.ndarray]:
+def _flat(a: np.ndarray) -> np.ndarray:
+    """``a`` with its trailing dimensions merged into one: (d0, d1 * ... * dk)."""
+    return a.reshape(a.shape[0], -1) if a.ndim > 2 else a
+
+
+def _momentum(theta, grad, m: np.ndarray, t: int, hp: HyperParams):
+    """Validated (d0, d1 * ... * dk) views of theta and grad, the step count and first moment."""
     th = np.asarray(theta, dtype=np.float64)
     g = np.asarray(grad, dtype=np.float64)
     if th.shape != g.shape:
         raise DimensionError(f"parameter/gradient shapes differ: {th.shape} vs {g.shape}")
-    if th.shape != state_shape:
-        raise DimensionError(f"parameter/state shapes differ: {th.shape} vs {state_shape}")
+    if th.shape != m.shape:
+        raise DimensionError(f"parameter/state shapes differ: {th.shape} vs {m.shape}")
     if not np.isfinite(g).all():
         raise InputError("gradient contains non-finite entries")
-    return th, g
-
-
-def _flat(a: np.ndarray) -> np.ndarray:
-    """``a`` with its trailing dimensions merged into one: (d0, d1 * ... * dk)."""
-    return a.reshape(a.shape[0], -1) if a.ndim > 2 else a
+    th, g = _flat(th), _flat(g)
+    return th, g, t + 1, hp.mu1 * _flat(m) + (1.0 - hp.mu1) * g
 
 
 def _bias_correction(t: int, hp: HyperParams) -> float:
@@ -157,10 +159,8 @@ def namo_step(theta, grad, state: NamoState, hp: HyperParams):
     The adaptive stepsize ``alpha`` is strictly below ``hp.alpha_bound()``
     whenever eps > 0.
     """
-    th, g = _check_step_inputs(theta, grad, state.M.shape)
-    shape, th, g = th.shape, _flat(th), _flat(g)
-    t_new = state.t + 1
-    m_new = hp.mu1 * _flat(state.M) + (1.0 - hp.mu1) * g
+    shape = state.M.shape
+    th, g, t_new, m_new = _momentum(theta, grad, state.M, state.t, hp)
     v_new = hp.mu2 * state.v + (1.0 - hp.mu2) * _norm(g) ** 2
     o = orthogonalize(m_new, hp.orth)
     alpha = _bias_correction(t_new, hp) * _norm(m_new) / (math.sqrt(v_new) + hp.epsilon)
@@ -177,12 +177,10 @@ def _clamp(d: np.ndarray, c: float) -> tuple[float, np.ndarray]:
 
 def namo_d_step(theta, grad, state: NamoDState, hp: HyperParams):
     """One NAMO-D step; returns (new parameter, new state, diagnostics)."""
-    th, g = _check_step_inputs(theta, grad, state.M.shape)
-    shape, th, g = th.shape, _flat(th), _flat(g)
+    shape = state.M.shape
+    th, g, t_new, m_new = _momentum(theta, grad, state.M, state.t, hp)
     if th.ndim < 2 or state.v.shape != (th.shape[1],):
         raise DimensionError("second-moment vector length must equal the column count")
-    t_new = state.t + 1
-    m_new = hp.mu1 * _flat(state.M) + (1.0 - hp.mu1) * g
     gc = _norm(g, axis=0)
     v_new = hp.mu2 * state.v + (1.0 - hp.mu2) * gc * gc
     bias = _bias_correction(t_new, hp)
@@ -196,10 +194,8 @@ def namo_d_step(theta, grad, state: NamoDState, hp: HyperParams):
 
 def muon_step(theta, grad, state: MuonState, hp: HyperParams):
     """One Muon step (orthogonalized momentum, no adaptive scaling)."""
-    th, g = _check_step_inputs(theta, grad, state.M.shape)
-    shape, th, g = th.shape, _flat(th), _flat(g)
-    t_new = state.t + 1
-    m_new = hp.mu1 * _flat(state.M) + (1.0 - hp.mu1) * g
+    shape = state.M.shape
+    th, g, t_new, m_new = _momentum(theta, grad, state.M, state.t, hp)
     o = orthogonalize(m_new, hp.orth)
     update = hp.eta * (o + hp.weight_decay * th)
     return (th - update).reshape(shape), MuonState(M=m_new.reshape(shape), t=t_new), StepDiagnostics()
@@ -207,14 +203,14 @@ def muon_step(theta, grad, state: MuonState, hp: HyperParams):
 
 def adamw_step(theta, grad, state: AdamWState, hp: HyperParams):
     """One AdamW step on a parameter of any shape (matrix, vector, scalar)."""
-    th, g = _check_step_inputs(theta, grad, state.m.shape)
-    t_new = state.t + 1
-    m_new = hp.mu1 * state.m + (1.0 - hp.mu1) * g
-    v_new = hp.mu2 * state.v + (1.0 - hp.mu2) * g * g
+    shape = state.m.shape
+    th, g, t_new, m_new = _momentum(theta, grad, state.m, state.t, hp)
+    v_new = hp.mu2 * _flat(state.v) + (1.0 - hp.mu2) * g * g
     m_hat = m_new / (1.0 - hp.mu1**t_new)
     v_hat = v_new / (1.0 - hp.mu2**t_new)
     update = hp.eta * (m_hat / (np.sqrt(v_hat) + hp.epsilon) + hp.weight_decay * th)
-    return th - update, AdamWState(m=m_new, v=v_new, t=t_new), StepDiagnostics()
+    m_new, v_new = m_new.reshape(shape), v_new.reshape(shape)
+    return (th - update).reshape(shape), AdamWState(m=m_new, v=v_new, t=t_new), StepDiagnostics()
 
 
 def is_matrix_parameter(shape) -> bool:

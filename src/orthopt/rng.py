@@ -52,11 +52,11 @@ def _uniforms(bits: np.ndarray) -> np.ndarray:
 
 def _box_muller(radii: np.ndarray, angles: np.ndarray):
     """Box-Muller pairs ``(r cos theta, r sin theta)`` from two equal-shape uniform arrays,
-    with r = sqrt(-2 ln radii) and theta = 2 pi angles (in place on the temporaries)."""
-    r = np.log(radii)
+    with r = sqrt(-2 ln radii) and theta = 2 pi angles; overwrites both inputs."""
+    r = np.log(radii, out=radii)
     r *= -2.0
     np.sqrt(r, out=r)
-    theta = (2.0 * np.pi) * angles
+    theta = np.multiply(angles, 2.0 * np.pi, out=angles)
     cos_part = np.cos(theta)
     cos_part *= r
     np.sin(theta, out=theta)
@@ -161,6 +161,7 @@ def draws(gens, counts, *, normal: bool) -> list[np.ndarray]:
     z *= _GOLDEN64
     z += np.repeat(np.array(firsts, dtype=np.uint64), np.diff(edges))
     u = _uniforms(_finalize_array(z))
+    del z
     if not normal:
         return [u[a:b] for a, b in zip(edges, edges[1:])]
     cos_part, sin_part = _box_muller(u[: edges[len(gens)]], u[edges[len(gens)] :])

@@ -180,14 +180,20 @@ class TestNamoStep:
             theta, state, _ = namo_step(theta, g, state, hp)
             np.testing.assert_allclose(theta, want, atol=1e-12)
 
-    def test_rejects_bad_inputs(self):
+    # all four rules share one validated start, so each rejects the same bad inputs
+    @pytest.mark.parametrize(
+        "step,state_cls",
+        [(namo_step, NamoState), (namo_d_step, NamoDState), (muon_step, MuonState), (adamw_step, AdamWState)],
+        ids=["namo", "namo_d", "muon", "adamw"],
+    )
+    def test_rejects_bad_inputs(self, step, state_cls):
         hp = HyperParams(eta=0.1)
         with pytest.raises(InputError):
-            namo_step(np.zeros((2, 2)), np.full((2, 2), np.nan), NamoState.zero((2, 2)), hp)
+            step(np.zeros((2, 2)), np.full((2, 2), np.nan), state_cls.zero((2, 2)), hp)
         with pytest.raises(DimensionError):
-            namo_step(np.zeros((2, 2)), np.zeros((2, 3)), NamoState.zero((2, 2)), hp)
+            step(np.zeros((2, 2)), np.zeros((2, 3)), state_cls.zero((2, 2)), hp)
         with pytest.raises(DimensionError):
-            namo_step(np.zeros((3, 2)), np.zeros((3, 2)), NamoState.zero((2, 2)), hp)
+            step(np.zeros((3, 2)), np.zeros((3, 2)), state_cls.zero((2, 2)), hp)
 
     def test_gradient_scale_leaves_direction_unchanged(self):
         # with eps ~ 0 the whole trajectory is invariant under grad rescaling
@@ -383,6 +389,22 @@ class TestAdamWStep:
         for g, want in zip(grads, expected):
             theta, state, _ = adamw_step(theta, g, state, hp)
             np.testing.assert_allclose(theta, want, atol=1e-12)
+
+    def test_three_d_parameter_equals_its_matrix_view(self):
+        # AdamW reads a (2, 3, 4) parameter through its (2, 12) view; element-wise, so bit for bit
+        rng = Rng(44)
+        grads = [rng.normals(24).reshape(2, 3, 4) for _ in range(10)]
+        hp = HyperParams(eta=0.01, mu1=0.9, mu2=0.95, epsilon=1e-8, weight_decay=0.01)
+        theta, state = Rng(45).normals(24).reshape(2, 3, 4), AdamWState.zero((2, 3, 4))
+        flat, flat_state = theta.reshape(2, 12), AdamWState.zero((2, 12))
+        for g in grads:
+            theta, state, _ = adamw_step(theta, g, state, hp)
+            flat, flat_state, _ = adamw_step(flat, g.reshape(2, 12), flat_state, hp)
+            assert theta.shape == state.m.shape == state.v.shape == (2, 3, 4)
+            assert theta.tobytes() == flat.tobytes()
+            assert state.m.tobytes() == flat_state.m.tobytes()
+            assert state.v.tobytes() == flat_state.v.tobytes()
+            assert state.t == flat_state.t
 
 
 class TestRouting:
