@@ -71,14 +71,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a single configured run")
+    p_run.set_defaults(handler=_cmd_run)
     p_run.add_argument("--config", required=True)
 
     p_sweep = sub.add_parser("sweep", help="learning-rate (and c) grid sweep")
+    p_sweep.set_defaults(handler=_cmd_sweep)
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--etas", type=_float_list, default=None)
     p_sweep.add_argument("--cs", type=_float_list, default=None)
 
     p_rates = sub.add_parser("rates", help="convergence-rate slope experiment")
+    p_rates.set_defaults(handler=_cmd_rates)
     p_rates.add_argument("--problem", required=True)
     p_rates.add_argument("--optimizer", required=True)
     p_rates.add_argument("--T", dest="t_list", type=_int_list, required=True)
@@ -90,6 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rates.add_argument("--b", type=int, default=1)
 
     p_ver = sub.add_parser("verify-lemmas", help="numerical lemma certification")
+    p_ver.set_defaults(handler=_cmd_verify_lemmas)
     p_ver.add_argument("--trials", type=int, default=1000)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument(
@@ -100,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_batch = sub.add_parser("batch-adapt", help="batch-size noise-adaptation experiment")
+    p_batch.set_defaults(handler=_cmd_batch_adapt)
     p_batch.add_argument("--sigma", type=float, required=True)
     p_batch.add_argument("--b", dest="b_list", type=_int_list, required=True)
     p_batch.add_argument("--seeds", type=_int_list, required=True)
@@ -124,7 +129,7 @@ def _cmd_run(args) -> int:
     config = load_run_config(args.config)
     summary_rows = []
     for r in range(config.repeats):
-        cfg = config if r == 0 else replace(config, seed=config.seed + r)
+        cfg = replace(config, seed=config.seed + r)
         result = run(cfg)
         name = "run.csv" if config.repeats == 1 else f"run_{r:03d}.csv"
         rows = [
@@ -186,23 +191,18 @@ def _cmd_rates(args) -> int:
 
 def _cmd_verify_lemmas(args) -> int:
     reports = run_all_checks(trials=args.trials, seed=args.seed, bound_scale=args.snr_bound_scale)
-    write_csv(
-        ("lemma,trials,max_violation,pass", [(r.lemma_id, r.trials, r.max_violation, r.passed()) for r in reports]),
-        os.path.join(args.out, "lemmas.csv"),
-    )
-    all_ok = True
-    for report in reports:
-        ok = report.passed()
-        all_ok &= ok
+    verdicts = [r.passed() for r in reports]
+    rows = [(r.lemma_id, r.trials, r.max_violation, ok) for r, ok in zip(reports, verdicts)]
+    write_csv(("lemma,trials,max_violation,pass", rows), os.path.join(args.out, "lemmas.csv"))
+    for report, ok in zip(reports, verdicts):
         print(
             f"{report.lemma_id}: trials={report.trials} "
             f"max_violation={report.max_violation:.3e} {'PASS' if ok else 'FAIL'}"
         )
     gap = snr_tightness_gap()
     tight_ok = gap <= LEMMA_TOLERANCES["SNR"]
-    all_ok &= tight_ok
     print(f"SNR tightness witness: gap={gap:.3e} {'PASS' if tight_ok else 'FAIL'}")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return EXIT_OK if all(verdicts) and tight_ok else EXIT_CHECK_FAILED
 
 
 def _cmd_batch_adapt(args) -> int:
@@ -220,15 +220,6 @@ def _cmd_batch_adapt(args) -> int:
     for b, mean in result.rows:
         print(f"b={b}: mean_final_avg_grad={mean:.6g}")
     return EXIT_OK
-
-
-_COMMANDS = {
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "rates": _cmd_rates,
-    "verify-lemmas": _cmd_verify_lemmas,
-    "batch-adapt": _cmd_batch_adapt,
-}
 
 
 @functools.cache
@@ -252,7 +243,7 @@ def main(argv=None) -> int:
     _pin_blas_to_one_thread()
     try:
         args = _parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -196,7 +196,7 @@ def _dims(value) -> tuple[int, ...]:
 
 
 def _orth_method(value) -> OrthMethod:
-    return value if isinstance(value, OrthMethod) else OrthMethod.from_string(value)
+    return value if isinstance(value, OrthMethod) else OrthMethod(_word(value).replace("-", "_"))
 
 
 # The config schema: each config-file key, the RunConfig field it sets (a
@@ -310,14 +310,12 @@ def _grad_norm(grads: list[np.ndarray]) -> float:
 
 def _aggregate_diagnostics(diags: list[StepDiagnostics]):
     alphas = [d.alpha for d in diags if d.alpha is not None]
-    d_bars = [d.d_bar for d in diags if d.d_bar is not None]
-    d_mins = [float(np.min(d.d_clamped)) for d in diags if d.d_clamped is not None]
-    d_maxs = [float(np.max(d.d_clamped)) for d in diags if d.d_clamped is not None]
+    namo_d = [d for d in diags if d.d_clamped is not None]
     return (
         sum(alphas) / len(alphas) if alphas else None,
-        sum(d_bars) / len(d_bars) if d_bars else None,
-        min(d_mins) if d_mins else None,
-        max(d_maxs) if d_maxs else None,
+        sum(d.d_bar for d in namo_d) / len(namo_d) if namo_d else None,
+        min(float(np.min(d.d_clamped)) for d in namo_d) if namo_d else None,
+        max(float(np.max(d.d_clamped)) for d in namo_d) if namo_d else None,
     )
 
 

@@ -34,14 +34,6 @@ class OrthMethod(enum.Enum):
     EXACT = "exact"
     NEWTON_SCHULZ = "newton_schulz"
 
-    @classmethod
-    def from_string(cls, name: str) -> "OrthMethod":
-        key = name.strip().lower().replace("-", "_")
-        for member in cls:
-            if member.value == key:
-                return member
-        raise ConfigError(f"unknown orthogonalization method: {name!r}")
-
 
 @dataclass(frozen=True)
 class OrthConfig:

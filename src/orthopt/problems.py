@@ -258,7 +258,7 @@ def _gradient_oracle(problem: Problem, noise: NoiseModel, rng: Rng, steps: int):
 
         draws = noise_rows()
         return lambda params, full_grads: [g + e for g, e in zip(exact(params, full_grads), next(draws))]
-    if problem.minibatch_grad is None or problem.dataset_size is None:
+    if problem.dataset_size is None:
         raise ConfigError(f"problem {problem.name!r} does not support minibatch noise")
     b = min(noise.batch_size, problem.dataset_size)
     if b == problem.dataset_size:

@@ -617,6 +617,11 @@ def test_blas_pin_without_the_library_returns_quietly(monkeypatch):
     assert orthopt.cli._pin_blas_to_one_thread.__wrapped__() is None
 
 
+def test_exit_codes_are_the_documented_numbers():
+    # the other tests compare with these names, so they cannot see a renumbering
+    assert (EXIT_OK, EXIT_CONFIG, EXIT_CHECK_FAILED, EXIT_IO) == (0, 1, 2, 3)
+
+
 def test_unknown_command_is_config_error():
     assert main(["frobnicate"]) == EXIT_CONFIG
 

@@ -86,6 +86,19 @@ def grad_norm_overflow_config():
     return replace(momentum_overflow_config("muon"), steps=30, hyper=hyper)
 
 
+def record_step_calls(monkeypatch, name):
+    """A list that gains ``(hp, diagnostics)`` for each call of ``harness._STEPS[name]``."""
+    calls, step = [], harness._STEPS[name]
+
+    def recording(theta, grad, state, hp):
+        out = step(theta, grad, state, hp)
+        calls.append((hp, out[2]))
+        return out
+
+    monkeypatch.setitem(harness._STEPS, name, recording)
+    return calls
+
+
 class TestRun:
     def test_descent_on_benign_problem(self):
         result = run(small_config())
@@ -219,6 +232,39 @@ class TestRun:
         result = run(cfg)
         assert result.status == STATUS_OK
         assert result.records[-1].alpha is not None  # matrix params stepped by namo
+
+    def test_namo_d_records_extremes_over_matrix_parameters(self, monkeypatch):
+        # an MLP 4-8-8-2 has three weight matrices: each record's d_min and
+        # d_max are the extremes of their clamped stepsizes at that step, and
+        # d_bar is the mean of their d_bar
+        calls = record_step_calls(monkeypatch, "namo_d")
+        cfg = small_config(
+            "namo_d", problem="mlp", problem_dims=(4, 8, 8, 2), dataset_size=16, steps=12,
+            hyper=default_hyperparams("namo_d", eta=0.02),
+        )
+        result = run(cfg)
+        assert result.status == STATUS_OK and len(calls) == 3 * cfg.steps
+        spread = 0
+        for record in result.records:
+            diags = [diag for _, diag in calls[3 * (record.step - 1) : 3 * record.step]]
+            mins = [float(np.min(d.d_clamped)) for d in diags]
+            assert record.d_min == min(mins)
+            assert record.d_max == max(float(np.max(d.d_clamped)) for d in diags)
+            assert record.d_bar == pytest.approx(sum(d.d_bar for d in diags) / 3, rel=1e-15)
+            spread += min(mins) < max(mins)
+        assert spread  # the parameters' minima differ, so the extreme is a real choice
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_fallback_steps_take_the_runs_weight_decay(self, monkeypatch, weight_decay):
+        # NAMO steps an MLP's weight matrices; AdamW steps its two bias vectors
+        # with the run's learning rate and weight decay, not its own recipe's
+        calls = record_step_calls(monkeypatch, "adamw")
+        cfg = small_config(
+            problem="mlp", problem_dims=(3, 4, 2), dataset_size=12, steps=6,
+            hyper=default_hyperparams("namo", eta=0.02, weight_decay=weight_decay),
+        )
+        assert run(cfg).status == STATUS_OK and len(calls) == 2 * cfg.steps
+        assert {(hp.eta, hp.weight_decay) for hp, _ in calls} == {(0.02, weight_decay)}
 
     def test_warmup_scales_first_update_exactly(self):
         base = small_config(steps=2, warmup_steps=0, log_every=1)
@@ -548,24 +594,21 @@ class TestConfigFiles:
         ]
 
     def test_canonical_hash_ignores_formatting(self):
-        a = config_from_mapping(
-            {
-                "problem": "matrix_least_squares",
-                "dims": "4,3,6",
-                "optimizer": "namo",
-                "steps": "10",
-            }
-        )
-        b = config_from_mapping(
-            {
-                "steps": "10",
-                "optimizer": "namo",
-                "dims": "4,3,6",
-                "problem": "matrix_least_squares",
-            }
-        )
+        section = {
+            "problem": "matrix_least_squares",
+            "dims": "4,3,6",
+            "optimizer": "namo",
+            "steps": "10",
+        }
+        a = config_from_mapping(section)
+        b = config_from_mapping(dict(reversed(section.items())))
         assert canonical_config_text(a) == canonical_config_text(b)
         assert derive_stream(a) == derive_stream(b)
+        # orth_method is a word: case and "-" for "_" do not change the stream
+        for spelling, method in [("Exact", "exact"), ("newton-schulz", "newton_schulz")]:
+            c = config_from_mapping({**section, "orth_method": spelling})
+            assert c.hyper.orth.method is OrthMethod(method)
+            assert derive_stream(c) == derive_stream(config_from_mapping({**section, "orth_method": method}))
 
     def test_canonical_text_covers_every_config_field(self):
         # every leaf field of the config reaches the RNG stream, under its
@@ -644,8 +687,12 @@ class TestConfigFiles:
         assert "eta=0.012" in canonical_config_text(config).splitlines()
 
     def test_unparsable_value_names_its_key(self):
+        section = {"problem": "mlp", "dims": "2,4,2", "optimizer": "namo", "steps": "x"}
         with pytest.raises(ConfigError, match="'steps'"):
-            config_from_mapping({"problem": "mlp", "dims": "2,4,2", "optimizer": "namo", "steps": "x"})
+            config_from_mapping(section)
+        with pytest.raises(ConfigError) as info:
+            config_from_mapping({**section, "steps": "5", "orth_method": "qr"})
+        assert str(info.value) == "invalid value for 'orth_method': 'qr' is not a valid OrthMethod"
 
     def test_stream_depends_on_semantic_fields(self):
         a = small_config(seed=1)
