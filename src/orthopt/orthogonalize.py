@@ -49,6 +49,8 @@ class OrthConfig:
     ns_iterations: int = DEFAULT_NS_ITERATIONS
 
     def __post_init__(self) -> None:
+        if not isinstance(self.method, OrthMethod):
+            raise ConfigError(f"method must be an OrthMethod member, got {self.method!r}")
         if self.ns_iterations < 1:
             raise ConfigError("ns_iterations must be >= 1")
 

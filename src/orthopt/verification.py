@@ -176,27 +176,23 @@ def check_phi_eps() -> LemmaReport:
 
 
 # The two series as (direct sum, closed-form bound), each sum an fsum of scalar terms that
-# take mu^t from Python's libm pow (np.power does not match it).  For 0 < mu < 1,
-# mu^t < e^-37.5 < 2^-54 once t > 37.5 / -ln(mu), so with a pow within an ulp (glibc's)
-# 1 - mu^t and the term are exactly 1.0 from there on: _built stops there, and those
-# terms are counted instead of built.
-def _built(mu: float, t_steps: int) -> int:
+# take mu^t from Python's libm pow (np.power does not match it).
+def _require_series_domain(mu: float, t_steps: int) -> None:
     if not 0.0 < mu < 1.0 or t_steps < 1:
         raise InputError(f"the series need 0 < mu < 1 and T >= 1, got {mu=}, {t_steps=}")
-    return min(t_steps, int(37.5 / -math.log(mu)))
 
 
 def series_mut_sides(mu: float, t_steps: int) -> tuple[float, float]:
     """Direct sum and closed-form bound for sum 1/(1-mu^t)."""
-    built = _built(mu, t_steps)
-    lhs = math.fsum([*(1.0 / (1.0 - mu**t) for t in range(1, built + 1)), t_steps - built])
+    _require_series_domain(mu, t_steps)
+    lhs = math.fsum(1.0 / (1.0 - mu**t) for t in range(1, t_steps + 1))
     return lhs, t_steps + mu / (1.0 - mu) - math.log((1.0 - mu**t_steps) / (1.0 - mu)) / math.log(mu)
 
 
 def series_mutsqrt_sides(mu: float, t_steps: int) -> tuple[float, float]:
     """Direct sum and closed-form bound for sum 1/sqrt(1-mu^t)."""
-    built = _built(mu, t_steps)
-    lhs = math.fsum([*(1.0 / math.sqrt(1.0 - mu**t) for t in range(1, built + 1)), t_steps - built])
+    _require_series_domain(mu, t_steps)
+    lhs = math.fsum(1.0 / math.sqrt(1.0 - mu**t) for t in range(1, t_steps + 1))
     return lhs, t_steps - 2.0 * math.log(1.0 + math.sqrt(1.0 - mu**t_steps)) / math.log(mu)
 
 

@@ -44,6 +44,13 @@ class TestOrthConfig:
         with pytest.raises(ConfigError):
             OrthConfig(ns_iterations=0)
 
+    @pytest.mark.parametrize("method", ["exact", "qr"])
+    def test_method_must_be_a_member(self, method):
+        # unchecked, "exact" would run Newton-Schulz and "qr" would raise a bare
+        # ValueError from harness.run's stream hash
+        with pytest.raises(ConfigError, match="OrthMethod member"):
+            OrthConfig(method=method)
+
 
 class TestExactMode:
     def test_identity_fixed_point(self):

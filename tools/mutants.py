@@ -49,6 +49,7 @@ CATALOGUE = [
     # orthogonalization
     ("exact_rank_cutoff_1e-6", "orthogonalize.py", "_RANK_TOLERANCE = 1e-12", "_RANK_TOLERANCE = 1e-6"),
     ("ns_coefficient_2.0", "orthogonalize.py", "(3.4445, -4.7750, 2.0315)", "(3.4445, -4.7750, 2.0)"),
+    ("orth_config_takes_any_method", "orthogonalize.py", "if not isinstance(self.method, OrthMethod):", "if False:"),
     # run loop and experiments
     ("avg_grad_over_t_plus_1", "harness.py", "grad_norm_sum / t\n", "grad_norm_sum / (t + 1)\n"),
     ("warmup_over_step_plus_1", "harness.py", "eta * step / warmup_steps", "eta * (step + 1) / warmup_steps"),
@@ -86,7 +87,6 @@ CATALOGUE = [
         "d_min = float(np.minimum.reduce(d))",
         "d_min = float(np.maximum.reduce(d))",
     ),
-    ("series_cutoff_e^-30", "verification.py", "int(37.5 / -math.log(mu))", "int(30.0 / -math.log(mu))"),
     # CLI exit codes
     ("exit_io_1", "cli.py", "EXIT_IO = 3", "EXIT_IO = 1"),
     (
