@@ -29,7 +29,7 @@ import math
 import os
 from collections import defaultdict
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import reduce
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -102,6 +102,9 @@ class RunConfig:
     repeats: int = 1
 
     def __post_init__(self) -> None:
+        for path, parse in _CONFIG_KEYS.values():
+            if parse is int and type(value := attrgetter(path)(self)) is not int:
+                raise ConfigError(f"{path} must be an int, got {value!r}")
         if self.optimizer not in OPTIMIZER_IDS:
             raise ConfigError(f"unknown optimizer id: {self.optimizer!r}")
         if self.steps < 1:
@@ -241,7 +244,7 @@ def canonical_config_text(config: RunConfig) -> str:
     parser, so numerically equal configs (``sigma`` 1, 1.0 or
     ``np.float64(1.0)``) have one text and one RNG stream."""
     return "\n".join(
-        f"{key}={_text(parse(reduce(getattr, path.split('.'), config)))}"
+        f"{key}={_text(parse(attrgetter(path)(config)))}"
         for key, (path, parse) in sorted(_CONFIG_KEYS.items())
         if key != "repeats"
     )
@@ -502,8 +505,8 @@ def rate_experiment(
     optimizer: str,
     t_list: Sequence[int],
     regime: str,
-    seed: int = 0,
-    problem_seed: int = 0,
+    seed: int,
+    problem_seed: int,
     sigma: float = 0.0,
     batch_size: int = 1,
 ) -> RateResult:
@@ -547,7 +550,7 @@ def batch_adaptation_experiment(
     sigma: float,
     b_list: Sequence[int],
     seeds: Sequence[int],
-    problem_seed: int = 0,
+    problem_seed: int,
 ) -> BatchAdaptResult:
     """Mean final averaged gradient norm per batch size, stochastic schedule."""
     b_list = [int(b) for b in b_list]

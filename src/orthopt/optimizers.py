@@ -22,8 +22,8 @@ With lambda = 0 the NAMO/NAMO-D updates reduce to the plain two-moment
 recursions over the gradient stream.
 
 All four steps share one validated start that counts the step and mu1-averages the
-gradient over (d0, d1 * ... * dk) views: matrix steps see a 3-D+ parameter as that
-matrix, as Muon does convolution weights; element-wise AdamW keeps its bits on it.
+gradient.  The matrix rules take 2-D parameters only and raise ``DimensionError``
+on any other; AdamW is element-wise on any shape.
 """
 
 from __future__ import annotations
@@ -130,13 +130,8 @@ class StepDiagnostics:
     d_bar: float | None = None
 
 
-def _flat(a: np.ndarray) -> np.ndarray:
-    """``a`` with its trailing dimensions merged into one: (d0, d1 * ... * dk)."""
-    return a.reshape(a.shape[0], -1) if a.ndim > 2 else a
-
-
 def _momentum(theta, grad, m: np.ndarray, t: int, hp: HyperParams):
-    """Validated (d0, d1 * ... * dk) views of theta and grad, the step count and first moment."""
+    """Validated theta and grad as float arrays, the step count and first moment."""
     th = np.asarray(theta, dtype=np.float64)
     g = np.asarray(grad, dtype=np.float64)
     if th.shape != g.shape:
@@ -145,8 +140,7 @@ def _momentum(theta, grad, m: np.ndarray, t: int, hp: HyperParams):
         raise DimensionError(f"parameter/state shapes differ: {th.shape} vs {m.shape}")
     if not np.isfinite(g).all():
         raise InputError("gradient contains non-finite entries")
-    th, g = _flat(th), _flat(g)
-    return th, g, t + 1, hp.mu1 * _flat(m) + (1.0 - hp.mu1) * g
+    return th, g, t + 1, hp.mu1 * m + (1.0 - hp.mu1) * g
 
 
 def _bias_correction(t: int, hp: HyperParams) -> float:
@@ -159,14 +153,13 @@ def namo_step(theta, grad, state: NamoState, hp: HyperParams):
     The adaptive stepsize ``alpha`` is strictly below ``hp.alpha_bound()``
     whenever eps > 0.
     """
-    shape = state.M.shape
     th, g, t_new, m_new = _momentum(theta, grad, state.M, state.t, hp)
     v_new = hp.mu2 * state.v + (1.0 - hp.mu2) * _norm(g) ** 2
     o = orthogonalize(m_new, hp.orth)
     alpha = _bias_correction(t_new, hp) * _norm(m_new) / (math.sqrt(v_new) + hp.epsilon)
     update = (hp.eta * alpha) * (o + hp.weight_decay * th)
     diag = StepDiagnostics(alpha=alpha)
-    return (th - update).reshape(shape), NamoState(M=m_new.reshape(shape), v=v_new, t=t_new), diag
+    return th - update, NamoState(M=m_new, v=v_new, t=t_new), diag
 
 
 def _clamp(d: np.ndarray, c: float) -> tuple[float, np.ndarray]:
@@ -177,9 +170,8 @@ def _clamp(d: np.ndarray, c: float) -> tuple[float, np.ndarray]:
 
 def namo_d_step(theta, grad, state: NamoDState, hp: HyperParams):
     """One NAMO-D step; returns (new parameter, new state, diagnostics)."""
-    shape = state.M.shape
     th, g, t_new, m_new = _momentum(theta, grad, state.M, state.t, hp)
-    if th.ndim < 2 or state.v.shape != (th.shape[1],):
+    if th.ndim != 2 or state.v.shape != (th.shape[1],):
         raise DimensionError("second-moment vector length must equal the column count")
     gc = _norm(g, axis=0)
     v_new = hp.mu2 * state.v + (1.0 - hp.mu2) * gc * gc
@@ -189,36 +181,33 @@ def namo_d_step(theta, grad, state: NamoDState, hp: HyperParams):
     o = orthogonalize(m_new, hp.orth)
     update = hp.eta * ((o + hp.weight_decay * th) * d_clamped[np.newaxis, :])
     diag = StepDiagnostics(d_raw=d_raw, d_clamped=d_clamped, d_bar=d_bar)
-    return (th - update).reshape(shape), NamoDState(M=m_new.reshape(shape), v=v_new, t=t_new), diag
+    return th - update, NamoDState(M=m_new, v=v_new, t=t_new), diag
 
 
 def muon_step(theta, grad, state: MuonState, hp: HyperParams):
     """One Muon step (orthogonalized momentum, no adaptive scaling)."""
-    shape = state.M.shape
     th, g, t_new, m_new = _momentum(theta, grad, state.M, state.t, hp)
     o = orthogonalize(m_new, hp.orth)
     update = hp.eta * (o + hp.weight_decay * th)
-    return (th - update).reshape(shape), MuonState(M=m_new.reshape(shape), t=t_new), StepDiagnostics()
+    return th - update, MuonState(M=m_new, t=t_new), StepDiagnostics()
 
 
 def adamw_step(theta, grad, state: AdamWState, hp: HyperParams):
     """One AdamW step on a parameter of any shape (matrix, vector, scalar)."""
-    shape = state.m.shape
     th, g, t_new, m_new = _momentum(theta, grad, state.m, state.t, hp)
-    v_new = hp.mu2 * _flat(state.v) + (1.0 - hp.mu2) * g * g
+    v_new = hp.mu2 * state.v + (1.0 - hp.mu2) * g * g
     m_hat = m_new / (1.0 - hp.mu1**t_new)
     v_hat = v_new / (1.0 - hp.mu2**t_new)
     update = hp.eta * (m_hat / (np.sqrt(v_hat) + hp.epsilon) + hp.weight_decay * th)
-    m_new, v_new = m_new.reshape(shape), v_new.reshape(shape)
-    return (th - update).reshape(shape), AdamWState(m=m_new, v=v_new, t=t_new), StepDiagnostics()
+    return th - update, AdamWState(m=m_new, v=v_new, t=t_new), StepDiagnostics()
 
 
 def is_matrix_parameter(shape) -> bool:
     """Whether a parameter of ``shape`` takes the matrix rule; AdamW takes the rest.
 
-    Shapes with fewer than two dimensions, or with any dimension equal to 1,
-    go to the fallback: orthogonalizing a 1-by-n matrix degenerates to
-    normalization, which defeats the point of the matrix rules.
+    Only 2-D shapes with both dimensions above 1 take it: orthogonalizing a
+    1-by-n matrix degenerates to normalization, which defeats the point of the
+    matrix rules.  Vectors, scalars and 3-D+ parameters go to the fallback.
     """
     dims = tuple(int(d) for d in shape)
-    return len(dims) >= 2 and all(d > 1 for d in dims)
+    return len(dims) == 2 and all(d > 1 for d in dims)

@@ -51,6 +51,8 @@ class OrthConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.method, OrthMethod):
             raise ConfigError(f"method must be an OrthMethod member, got {self.method!r}")
+        if type(self.ns_iterations) is not int:
+            raise ConfigError(f"ns_iterations must be an int, got {self.ns_iterations!r}")
         if self.ns_iterations < 1:
             raise ConfigError("ns_iterations must be >= 1")
 

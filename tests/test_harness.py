@@ -175,6 +175,21 @@ class TestRun:
         assert result.steps_completed == 2  # theta is -1e308 after step 1 and -inf after step 2
         assert [r.loss for r in result.records] == [1.0, 1.0]
 
+    @pytest.mark.parametrize("optimizer", OPTIMIZER_IDS)
+    def test_three_dim_parameter_takes_the_adamw_fallback(self, optimizer, monkeypatch):
+        # the (3, 2) matrix takes the run's rule and the (2, 3, 4) parameter AdamW
+        targets = (np.ones((3, 2)), np.ones((2, 3, 4)))
+
+        def loss_and_grad(params, rows=None):
+            diffs = [p - t for p, t in zip(params, targets)]
+            return 0.5 * sum(float(np.sum(d * d)) for d in diffs), diffs
+
+        problem = problems.Problem(name="hand_built", loss_and_grad=loss_and_grad, theta0=map(np.zeros_like, targets))
+        monkeypatch.setattr(harness, "make_problem", lambda config: problem)
+        calls = record_step_calls(monkeypatch, "adamw")
+        assert run(small_config(optimizer, steps=5)).status == STATUS_OK
+        assert len(calls) == (10 if optimizer == "adamw" else 5)
+
     @pytest.mark.parametrize("optimizer", ["adamw", "muon"])
     def test_noise_overflow_ends_diverged(self, optimizer):
         # sigma=1.7e308 overflows a noisy gradient to inf; the step rejects it
@@ -320,6 +335,22 @@ class TestRun:
             small_config(hyper=default_hyperparams("namo", eta=eta), warmup_steps=warmup_steps)
         assert run(small_config(hyper=default_hyperparams("namo", eta=eta))).status == STATUS_OK
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize(
+        "path",
+        ["problem_seed", "dataset_size", "hyper.orth.ns_iterations", "steps", "warmup_steps",
+         "log_every", "seed", "repeats", "noise.batch_size"],
+    )
+    def test_integer_field_holding_a_non_int_is_config_error(self, path, value):
+        # such a value once failed mid-run with a bare TypeError, or ran as the
+        # int that canonical_config_text hashed it to
+        def with_field(obj, path):
+            name, _, rest = path.partition(".")
+            return replace(obj, **{name: with_field(getattr(obj, name), rest) if rest else value})
+
+        with pytest.raises(ConfigError, match="must be an int"):
+            with_field(small_config(), path)
+
 
 class TestSweep:
     def test_single_point_grid_matches_run(self):
@@ -412,21 +443,21 @@ class TestRateExperiment:
 
     def test_small_rate_experiment_runs(self):
         result = rate_experiment(
-            "matrix_factorization", (6, 2, 6), "namo", [32, 64, 128], "det", seed=0
+            "matrix_factorization", (6, 2, 6), "namo", [32, 64, 128], "det", seed=0, problem_seed=0
         )
         assert len(result.points) == 3
         assert result.slope < 0.0
 
     def test_needs_three_distinct_horizons(self):
         with pytest.raises(ConfigError):
-            rate_experiment("matrix_factorization", (6, 2, 6), "namo", [32, 32, 32], "det")
+            rate_experiment("matrix_factorization", (6, 2, 6), "namo", [32, 32, 32], "det", 0, 0)
 
     def test_stochastic_zero_sigma_equals_deterministic_run(self):
         a = rate_experiment(
-            "matrix_factorization", (6, 2, 6), "namo", [32, 64, 128], "stoch", sigma=0.0
+            "matrix_factorization", (6, 2, 6), "namo", [32, 64, 128], "stoch", 0, 0, sigma=0.0
         )
         b = rate_experiment(
-            "matrix_factorization", (6, 2, 6), "namo", [32, 64, 128], "stoch", sigma=0.0
+            "matrix_factorization", (6, 2, 6), "namo", [32, 64, 128], "stoch", 0, 0, sigma=0.0
         )
         assert a == b
 
@@ -434,7 +465,7 @@ class TestRateExperiment:
 class TestBatchAdaptation:
     def test_zero_sigma_rows_are_identical(self):
         result = batch_adaptation_experiment(
-            "matrix_least_squares", (4, 3, 6), "namo", 30, 0.0, [1, 4, 16], [1, 2, 3]
+            "matrix_least_squares", (4, 3, 6), "namo", 30, 0.0, [1, 4, 16], [1, 2, 3], 0
         )
         values = [v for _, v in result.rows]
         assert values[0] == values[1] == values[2]
@@ -442,11 +473,11 @@ class TestBatchAdaptation:
     def test_validation(self):
         with pytest.raises(ConfigError):
             batch_adaptation_experiment(
-                "matrix_least_squares", (4, 3, 6), "namo", 10, 1.0, [4, 4], [1, 2, 3]
+                "matrix_least_squares", (4, 3, 6), "namo", 10, 1.0, [4, 4], [1, 2, 3], 0
             )
         with pytest.raises(ConfigError):
             batch_adaptation_experiment(
-                "matrix_least_squares", (4, 3, 6), "namo", 10, 1.0, [1, 4], [1, 2]
+                "matrix_least_squares", (4, 3, 6), "namo", 10, 1.0, [1, 4], [1, 2], 0
             )
 
     @pytest.mark.parametrize(
@@ -460,7 +491,7 @@ class TestBatchAdaptation:
     def test_rejects_no_batch_sizes_and_repeated_seeds(self, b_list, seeds, message):
         # an empty b_list gave no rows, and a repeated seed averaged one run twice
         with pytest.raises(ConfigError, match=message):
-            batch_adaptation_experiment("matrix_least_squares", (4, 3, 6), "namo", 10, 1.0, b_list, seeds)
+            batch_adaptation_experiment("matrix_least_squares", (4, 3, 6), "namo", 10, 1.0, b_list, seeds, 0)
 
 
 @pytest.mark.parametrize(
@@ -470,11 +501,11 @@ class TestBatchAdaptation:
         (lr_sweep, dict(base=small_config("namo_d", steps=15), etas=[0.01, 0.02], cs=[0.4, 0.9])),
         (rate_experiment, dict(
             problem_name="matrix_factorization", problem_dims=(6, 2, 6), optimizer="namo",
-            t_list=[32, 64, 128], regime="det",
+            t_list=[32, 64, 128], regime="det", seed=0, problem_seed=0,
         )),
         (batch_adaptation_experiment, dict(
             problem_name="matrix_least_squares", problem_dims=(4, 3, 6), optimizer="namo",
-            t_steps=10, sigma=1.0, b_list=[1, 4], seeds=[1, 2, 3],
+            t_steps=10, sigma=1.0, b_list=[1, 4], seeds=[1, 2, 3], problem_seed=0,
         )),
     ],
     ids=["lr_sweep", "lr_sweep_c_grid", "rate_experiment", "batch_adaptation_experiment"],
@@ -678,7 +709,7 @@ class TestConfigFiles:
     @pytest.mark.parametrize("sigma", [1, np.float64(1.0)])
     def test_numerically_equal_configs_share_one_stream(self, sigma):
         args = ("matrix_least_squares", (8, 6, 12), "namo", 32)
-        kwargs = dict(b_list=[1, 16], seeds=[1, 2, 3])
+        kwargs = dict(b_list=[1, 16], seeds=[1, 2, 3], problem_seed=0)
         reference = batch_adaptation_experiment(*args, sigma=1.0, **kwargs)
         assert batch_adaptation_experiment(*args, sigma=sigma, **kwargs).rows == reference.rows
 
@@ -797,10 +828,10 @@ def test_zero_sigma_records_do_not_depend_on_batch_size():
 def test_large_batch_limit_approaches_zero_noise_row():
     sigma = 1.0
     noisy = batch_adaptation_experiment(
-        "matrix_least_squares", (4, 3, 6), "namo", 60, sigma, [10**6], [1, 2, 3]
+        "matrix_least_squares", (4, 3, 6), "namo", 60, sigma, [10**6], [1, 2, 3], 0
     )
     quiet = batch_adaptation_experiment(
-        "matrix_least_squares", (4, 3, 6), "namo", 60, 0.0, [1], [1, 2, 3]
+        "matrix_least_squares", (4, 3, 6), "namo", 60, 0.0, [1], [1, 2, 3], 0
     )
     big_b = noisy.rows[0][1]
     zero = quiet.rows[0][1]

@@ -8,6 +8,7 @@ from orthopt.orthogonalize import (
     EXACT,
     NEWTON_SCHULZ,
     OrthConfig,
+    OrthMethod,
     _RANK_TOLERANCE,
     _newton_schulz,
     orthogonality_defect,
@@ -50,6 +51,12 @@ class TestOrthConfig:
         # ValueError from harness.run's stream hash
         with pytest.raises(ConfigError, match="OrthMethod member"):
             OrthConfig(method=method)
+
+    @pytest.mark.parametrize("ns_iterations", [2.5, True])
+    def test_ns_iterations_must_be_an_int(self, ns_iterations):
+        # orthogonalize takes an OrthConfig with no RunConfig around it to check this
+        with pytest.raises(ConfigError, match="^ns_iterations must be an int"):
+            OrthConfig(method=OrthMethod.NEWTON_SCHULZ, ns_iterations=ns_iterations)
 
 
 class TestExactMode:

@@ -49,13 +49,10 @@ SETTABLE_VALUES = (
     "RunConfig.steps",
     "RunConfig.warmup_steps",
     "cli.main(argv)",
-    "harness.batch_adaptation_experiment(problem_seed)",
     "harness.build_problem(dataset_size)",
     "harness.default_hyperparams(overrides)",
     "harness.lr_sweep(cs)",
     "harness.rate_experiment(batch_size)",
-    "harness.rate_experiment(problem_seed)",
-    "harness.rate_experiment(seed)",
     "harness.rate_experiment(sigma)",
     "linalg.as_matrix(name)",
     "orthopt batch-adapt --T",

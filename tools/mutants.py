@@ -46,11 +46,18 @@ CATALOGUE = [
     ),
     ("namo_weight_decay_sign", "optimizers.py", "alpha) * (o + hp.weight_decay", "alpha) * (o - hp.weight_decay"),
     ("muon_without_weight_decay", "optimizers.py", "update = hp.eta * (o + hp.weight_decay * th)", "update = hp.eta * o"),
+    ("matrix_rule_for_3d_parameters", "optimizers.py", "return len(dims) == 2 and", "return len(dims) >= 2 and"),
     # orthogonalization
     ("exact_rank_cutoff_1e-6", "orthogonalize.py", "_RANK_TOLERANCE = 1e-12", "_RANK_TOLERANCE = 1e-6"),
     ("ns_coefficient_2.0", "orthogonalize.py", "(3.4445, -4.7750, 2.0315)", "(3.4445, -4.7750, 2.0)"),
     ("orth_config_takes_any_method", "orthogonalize.py", "if not isinstance(self.method, OrthMethod):", "if False:"),
     # run loop and experiments
+    (
+        "int_fields_take_any_value",
+        "harness.py",
+        "if parse is int and type(value := attrgetter(path)(self)) is not int:",
+        "if False:",
+    ),
     ("avg_grad_over_t_plus_1", "harness.py", "grad_norm_sum / t\n", "grad_norm_sum / (t + 1)\n"),
     ("warmup_over_step_plus_1", "harness.py", "eta * step / warmup_steps", "eta * (step + 1) / warmup_steps"),
     (
