@@ -29,6 +29,7 @@ import math
 import os
 from collections import defaultdict
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from operator import attrgetter
 from typing import Optional, Sequence
 
@@ -102,8 +103,9 @@ class RunConfig:
     repeats: int = 1
 
     def __post_init__(self) -> None:
+        # noise.batch_size and hyper.orth.ns_iterations are their owners' to check
         for path, parse in _CONFIG_KEYS.values():
-            if parse is int and type(value := attrgetter(path)(self)) is not int:
+            if parse is int and "." not in path and type(value := getattr(self, path)) is not int:
                 raise ConfigError(f"{path} must be an int, got {value!r}")
         if self.optimizer not in OPTIMIZER_IDS:
             raise ConfigError(f"unknown optimizer id: {self.optimizer!r}")
@@ -168,9 +170,8 @@ def make_problem(config: RunConfig) -> Problem:
 
 
 def build_problem(name: str, dims: Sequence[int], seed: int, dataset_size: int = RunConfig.dataset_size) -> Problem:
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise ConfigError("dimensions must be positive")
+    if not all(type(d) is int and d >= 1 for d in dims):
+        raise ConfigError(f"dimensions must be positive ints, got {dims!r}")
     if name == "matrix_least_squares":
         if len(dims) != 3:
             raise ConfigError("matrix_least_squares needs dims (m, n, k)")
@@ -400,7 +401,7 @@ def run(config: RunConfig) -> RunResult:
 
 
 # ---------------------------------------------------------------------------
-# Sweeps and experiments.
+# Sweeps and experiments: each builds, so checks, every config before its first run.
 # ---------------------------------------------------------------------------
 
 
@@ -434,11 +435,10 @@ def lr_sweep(base: RunConfig, etas: Sequence[float], cs: Optional[Sequence[float
     if not c_grid:
         raise ConfigError("c grid must be nonempty")
 
-    entries: list[SweepEntry] = []
-    for eta, c in itertools.product(eta_grid, c_grid):
-        hp = replace(base.hyper, eta=eta, clamp_c=base.hyper.clamp_c if c is None else c)
-        result = run(replace(base, hyper=hp))
-        entries.append(SweepEntry(eta, c, result.final_loss, result.final_avg_grad, result.status))
+    grid = list(itertools.product(eta_grid, c_grid))
+    hypers = [replace(base.hyper, eta=eta, clamp_c=base.hyper.clamp_c if c is None else c) for eta, c in grid]
+    results = map(run, [replace(base, hyper=hp) for hp in hypers])
+    entries = [SweepEntry(eta, c, r.final_loss, r.final_avg_grad, r.status) for (eta, c), r in zip(grid, results)]
     completed = [e for e in entries if e.status == STATUS_OK]
     best = min(
         completed,
@@ -479,6 +479,11 @@ def theorem_schedule(regime: str, t_steps: int) -> dict:
 _THEOREM_CLAMP_C = 0.5
 
 
+def _unwrap(value):
+    """A numpy integer as its ``int``, else ``value`` as it is for its config to check."""
+    return int(value) if isinstance(value, np.integer) else value
+
+
 def _theorem_config(name, dims, optimizer, regime, t_steps, **fields) -> RunConfig:
     """A run under ``theorem_schedule``: EXACT orthogonalization, no weight decay
     or warmup, only the final step logged; ``fields`` sets noise and seeds."""
@@ -488,9 +493,8 @@ def _theorem_config(name, dims, optimizer, regime, t_steps, **fields) -> RunConf
         clamp_c=_THEOREM_CLAMP_C if optimizer == "namo_d" else 1.0,
         orth=EXACT,
     )
-    steps = int(t_steps)
-    dims = tuple(int(d) for d in dims)
-    return RunConfig(name, dims, optimizer, hp, steps, warmup_steps=0, log_every=steps, **fields)
+    dims = tuple(map(_unwrap, dims))
+    return RunConfig(name, dims, optimizer, hp, t_steps, warmup_steps=0, log_every=t_steps, **fields)
 
 
 @dataclass(frozen=True)
@@ -516,20 +520,17 @@ def rate_experiment(
     ``t_list`` holds at least three distinct, geometrically spaced horizons.
     Diverged horizons are dropped; fewer than three survivors is an error.
     """
-    t_list = [int(t) for t in t_list]
+    t_list = list(map(_unwrap, t_list))
     if len(set(t_list)) < 3:
         raise ConfigError("rate experiments need at least 3 distinct T values")
     if len(set(t_list)) < len(t_list):
         raise ConfigError(f"a T value is repeated: {t_list}")
-    points: list[tuple[int, float]] = []
-    for t_steps in t_list:
-        result = run(_theorem_config(
-            problem_name, problem_dims, optimizer, regime, t_steps,
-            noise=NoiseModel(sigma=sigma, batch_size=batch_size),
-            problem_seed=problem_seed, seed=seed,
-        ))
-        if result.status == STATUS_OK:
-            points.append((t_steps, result.final_avg_grad))
+    config = partial(
+        _theorem_config, problem_name, problem_dims, optimizer, regime, problem_seed=problem_seed, seed=seed
+    )
+    noise = NoiseModel(sigma=sigma, batch_size=batch_size)
+    configs = [config(t, noise=noise) for t in t_list]
+    points = [(t, r.final_avg_grad) for t, r in zip(t_list, map(run, configs)) if r.status == STATUS_OK]
     if len(points) < 3:
         raise NumericalError(
             f"only {len(points)} of {len(t_list)} horizons completed; cannot fit a slope"
@@ -553,25 +554,20 @@ def batch_adaptation_experiment(
     problem_seed: int,
 ) -> BatchAdaptResult:
     """Mean final averaged gradient norm per batch size, stochastic schedule."""
-    b_list = [int(b) for b in b_list]
+    t_steps, b_list, seeds = _unwrap(t_steps), list(map(_unwrap, b_list)), list(map(_unwrap, seeds))
     if not b_list or any(b2 <= b1 for b1, b2 in zip(b_list, b_list[1:])):
         raise ConfigError("b_list must be non-empty and strictly increasing")
-    seeds = [int(s) for s in seeds]
     if len(set(seeds)) < 3:
         raise ConfigError("need at least 3 distinct seeds")
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"a seed is repeated: {seeds}")
+    config = partial(
+        _theorem_config, problem_name, problem_dims, optimizer, "stoch", t_steps, problem_seed=problem_seed
+    )
+    grid = [[config(noise=NoiseModel(sigma=sigma, batch_size=b), seed=s) for s in seeds] for b in b_list]
     rows: list[tuple[int, float]] = []
-    for b in b_list:
-        finals = []
-        for s in seeds:
-            result = run(_theorem_config(
-                problem_name, problem_dims, optimizer, "stoch", t_steps,
-                noise=NoiseModel(sigma=sigma, batch_size=b),
-                problem_seed=problem_seed, seed=s,
-            ))
-            if result.status == STATUS_OK:
-                finals.append(result.final_avg_grad)
+    for b, configs in zip(b_list, grid):
+        finals = [r.final_avg_grad for r in map(run, configs) if r.status == STATUS_OK]
         if not finals:
             raise NumericalError(f"all runs diverged at batch size {b}")
         rows.append((b, sum(finals) / len(finals)))

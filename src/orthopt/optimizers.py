@@ -209,5 +209,4 @@ def is_matrix_parameter(shape) -> bool:
     1-by-n matrix degenerates to normalization, which defeats the point of the
     matrix rules.  Vectors, scalars and 3-D+ parameters go to the fallback.
     """
-    dims = tuple(int(d) for d in shape)
-    return len(dims) == 2 and all(d > 1 for d in dims)
+    return len(shape) == 2 and all(d > 1 for d in shape)

@@ -88,6 +88,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.sigma < math.inf:
             raise ConfigError("sigma must be finite and nonnegative")
+        if type(self.batch_size) is not int:
+            raise ConfigError(f"batch_size must be an int, got {self.batch_size!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.kind not in (NoiseKind.ADDITIVE_GAUSSIAN, NoiseKind.MINIBATCH):
@@ -152,7 +154,7 @@ def make_mlp_problem(layer_dims, dataset_size: int, seed: int) -> Problem:
     their leading rows; the loss and gradients it returns are fresh and never
     alias them, and no two threads may evaluate one problem at once.
     """
-    dims = tuple(int(d) for d in layer_dims)
+    dims = tuple(layer_dims)
     if len(dims) < 3:
         raise ConfigError("need at least two layers (len(layer_dims) >= 3)")
     if dataset_size < 1:

@@ -351,6 +351,16 @@ class TestRun:
         with pytest.raises(ConfigError, match="must be an int"):
             with_field(small_config(), path)
 
+    @pytest.mark.parametrize(
+        "problem, dims", [("matrix_least_squares", (4, 3.5, 6)), ("mlp", (4, 8.5, 2)), ("mlp", (4, True, 2))]
+    )
+    def test_non_int_dimension_is_config_error(self, problem, dims):
+        # (4, 3.5, 6) once ran as (4, 3, 6), under the stream its text hashed to
+        with pytest.raises(ConfigError, match="dimensions must be positive ints"):
+            build_problem(problem, dims, 0)
+        with pytest.raises(ConfigError, match="dimensions must be positive ints"):
+            run(small_config(problem=problem, problem_dims=dims))
+
 
 class TestSweep:
     def test_single_point_grid_matches_run(self):
@@ -515,6 +525,42 @@ def test_numpy_array_grids_match_list_grids(experiment, kwargs):
     # numpy's ambiguous-truth-value ValueError
     arrays = {key: np.array(value) if isinstance(value, list) else value for key, value in kwargs.items()}
     assert experiment(**arrays) == experiment(**kwargs)
+
+
+_RATE_ARGS = dict(
+    problem_name="matrix_factorization", problem_dims=(6, 2, 6), optimizer="namo",
+    t_list=[16, 32, 64], regime="det", seed=0, problem_seed=0,
+)
+_BATCH_ARGS = dict(
+    problem_name="matrix_least_squares", problem_dims=(4, 3, 6), optimizer="namo",
+    t_steps=16, sigma=1.0, b_list=[1, 4], seeds=[1, 2, 3], problem_seed=0,
+)
+
+
+@pytest.mark.parametrize(
+    "experiment, kwargs",
+    [
+        (lr_sweep, dict(base=small_config(steps=15), etas=[0.01, 0.02, -1.0])),
+        (rate_experiment, {**_RATE_ARGS, "t_list": [16, 32, 64.5]}),
+        (batch_adaptation_experiment, {**_BATCH_ARGS, "t_steps": 16.5}),
+        (batch_adaptation_experiment, {**_BATCH_ARGS, "b_list": [1, 4.5]}),
+        (batch_adaptation_experiment, {**_BATCH_ARGS, "seeds": [1, 2, 3.5]}),
+    ],
+    ids=["lr_sweep_eta", "rate_t_list", "batch_t_steps", "batch_b_list", "batch_seeds"],
+)
+def test_bad_last_grid_entry_is_config_error_before_any_run(monkeypatch, experiment, kwargs):
+    # such an entry once ran as the int it truncates to (t_steps=16.5 ran 16
+    # steps under the T=16.5 schedule), or failed after the runs before it
+    calls = []
+    monkeypatch.setattr(harness, "run", lambda config: calls.append(config) or run(config))
+    with pytest.raises(ConfigError):
+        experiment(**kwargs)
+    assert calls == []
+
+
+def test_numpy_integer_horizon_and_dims_match_ints():
+    numpy_args = {**_BATCH_ARGS, "t_steps": np.int64(16), "problem_dims": np.array([4, 3, 6])}
+    assert batch_adaptation_experiment(**numpy_args) == batch_adaptation_experiment(**_BATCH_ARGS)
 
 
 def readme_config_block():

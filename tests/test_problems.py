@@ -163,6 +163,11 @@ class TestMlpProblem:
         with pytest.raises(ConfigError, match="dataset_size must be positive"):
             make_mlp_problem((3, 5, 2), dataset_size=0, seed=0)
 
+    def test_fractional_width_builds_no_truncated_layer(self):
+        # a width of 8.5 once built an 8-wide hidden layer
+        with pytest.raises((ConfigError, TypeError)):
+            make_mlp_problem((4, 8.5, 2), 12, 0)
+
 
 def reference_mlp_loss_and_grad(params, xs, ys):
     """The MLP oracle written with a fresh array per operation."""
@@ -289,6 +294,12 @@ class TestStochasticGrad:
     def test_batch_size_validation(self):
         with pytest.raises(ConfigError):
             NoiseModel(sigma=1.0, batch_size=0)
+
+    @pytest.mark.parametrize("batch_size", [2.5, True])
+    def test_batch_size_must_be_an_int(self, batch_size):
+        # 2.5 once drew noise of variance sigma^2 / (2.5 P), and True ran as 1
+        with pytest.raises(ConfigError, match="batch_size must be an int"):
+            stochastic_grad(self.problem, self.params, NoiseModel(sigma=1.0, batch_size=batch_size), Rng(1))
 
     def test_shape_validation(self):
         noise = NoiseModel(sigma=0.0)

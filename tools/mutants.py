@@ -46,7 +46,7 @@ CATALOGUE = [
     ),
     ("namo_weight_decay_sign", "optimizers.py", "alpha) * (o + hp.weight_decay", "alpha) * (o - hp.weight_decay"),
     ("muon_without_weight_decay", "optimizers.py", "update = hp.eta * (o + hp.weight_decay * th)", "update = hp.eta * o"),
-    ("matrix_rule_for_3d_parameters", "optimizers.py", "return len(dims) == 2 and", "return len(dims) >= 2 and"),
+    ("matrix_rule_for_3d_parameters", "optimizers.py", "return len(shape) == 2 and", "return len(shape) >= 2 and"),
     # orthogonalization
     ("exact_rank_cutoff_1e-6", "orthogonalize.py", "_RANK_TOLERANCE = 1e-12", "_RANK_TOLERANCE = 1e-6"),
     ("ns_coefficient_2.0", "orthogonalize.py", "(3.4445, -4.7750, 2.0315)", "(3.4445, -4.7750, 2.0)"),
@@ -55,8 +55,15 @@ CATALOGUE = [
     (
         "int_fields_take_any_value",
         "harness.py",
-        "if parse is int and type(value := attrgetter(path)(self)) is not int:",
+        'if parse is int and "." not in path and type(value := getattr(self, path)) is not int:',
         "if False:",
+    ),
+    ("dims_take_any_value", "harness.py", "if not all(type(d) is int and d >= 1 for d in dims):", "if False:"),
+    (
+        "experiments_truncate_to_int",
+        "harness.py",
+        "return int(value) if isinstance(value, np.integer) else value",
+        "return int(value)",
     ),
     ("avg_grad_over_t_plus_1", "harness.py", "grad_norm_sum / t\n", "grad_norm_sum / (t + 1)\n"),
     ("warmup_over_step_plus_1", "harness.py", "eta * step / warmup_steps", "eta * (step + 1) / warmup_steps"),
@@ -75,6 +82,7 @@ CATALOGUE = [
     ("theorem_clamp_0.4", "harness.py", "_THEOREM_CLAMP_C = 0.5", "_THEOREM_CLAMP_C = 0.4"),
     ("stoch_eta_T^-0.7", "harness.py", '"eta": t_steps**-0.75', '"eta": t_steps**-0.7'),
     # problem oracles and noise
+    ("batch_size_takes_any_value", "problems.py", "if type(self.batch_size) is not int:", "if False:"),
     ("lstsq_minibatch_without_k_over_b", "problems.py", "[(k / rows.size) * grad]", "[grad]"),
     ("factorization_grad_b_halved", "problems.py", ", params[0].T @ res]", ", 0.5 * (params[0].T @ res)]"),
     ("mlp_grad_without_batch_mean", "problems.py", "delta = err / xs.shape[0]", "delta = err"),
